@@ -262,46 +262,24 @@ CacheHierarchy::accessL2Line(std::uint64_t line, bool isWrite,
 }
 
 void
-CacheHierarchy::saveState(ckpt::Writer &w) const
-{
-    for (const SetAssocCache &tags : l1Tags_)
-        tags.saveState(w);
-    for (const MshrFile &mshr : l1Mshrs_)
-        mshr.saveState(w);
-    for (const L2Bank &bank : l2Banks_) {
-        bank.tags->saveState(w);
-        bank.mshr.saveState(w);
-        w.u64(bank.nextIssueAt);
-        w.u64(bank.accesses);
-        w.u64(bank.hits);
-        w.u64(bank.writebacks);
-    }
-    for (const SmStats &s : smStats_) {
-        w.u64(s.l1Accesses);
-        w.u64(s.l1Hits);
-        w.u64(s.writebacks);
-    }
-}
-
-void
-CacheHierarchy::loadState(ckpt::Reader &r)
+CacheHierarchy::serialize(ckpt::Archive &ar)
 {
     for (SetAssocCache &tags : l1Tags_)
-        tags.loadState(r);
+        ar.io(tags);
     for (MshrFile &mshr : l1Mshrs_)
-        mshr.loadState(r);
+        ar.io(mshr);
     for (L2Bank &bank : l2Banks_) {
-        bank.tags->loadState(r);
-        bank.mshr.loadState(r);
-        bank.nextIssueAt = r.u64();
-        bank.accesses = r.u64();
-        bank.hits = r.u64();
-        bank.writebacks = r.u64();
+        ar.io(*bank.tags);
+        ar.io(bank.mshr);
+        ar.io(bank.nextIssueAt);
+        ar.io(bank.accesses);
+        ar.io(bank.hits);
+        ar.io(bank.writebacks);
     }
     for (SmStats &s : smStats_) {
-        s.l1Accesses = r.u64();
-        s.l1Hits = r.u64();
-        s.writebacks = r.u64();
+        ar.io(s.l1Accesses);
+        ar.io(s.l1Hits);
+        ar.io(s.writebacks);
     }
 }
 

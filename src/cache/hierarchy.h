@@ -118,15 +118,12 @@ class CacheHierarchy
     const CacheHierarchyConfig &config() const { return config_; }
 
     /**
-     * @name Checkpoint hooks (DESIGN.md §14)
-     * Captures every L1 and L2 bank tag array, the per-bank issue ports,
-     * and all counters. The MSHRs assert emptiness — a quiesce point has
-     * no in-flight misses to serialize.
+     * Checkpoint hook (DESIGN.md §14). Captures every L1 and L2 bank tag
+     * array, the per-bank issue ports, and all counters. The MSHRs
+     * assert emptiness — a quiesce point has no in-flight misses to
+     * serialize.
      */
-    ///@{
-    void saveState(ckpt::Writer &w) const;
-    void loadState(ckpt::Reader &r);
-    ///@}
+    void serialize(ckpt::Archive &ar);
 
   private:
     /** Cache-line aligned: adjacent banks may run on different hub

@@ -106,32 +106,22 @@ class MshrFile
     std::uint64_t overflows() const { return overflows_; }
 
     /**
-     * @name Checkpoint hooks (DESIGN.md §14)
-     * In-flight misses hold waiter continuations that cannot be
-     * serialized; the quiesce protocol drains them, so only the
-     * counters survive a checkpoint. The pooled slab and free list are
-     * payload-only storage and are rebuilt by use.
-     * @pre size() == 0 (quiesced).
+     * Checkpoint hook (DESIGN.md §14). In-flight misses hold waiter
+     * continuations that cannot be serialized; the quiesce protocol
+     * drains them, so only the counters survive a checkpoint. The
+     * pooled slab and free list are payload-only storage and are
+     * rebuilt by use.
+     * @pre on save, size() == 0 (quiesced).
      */
-    ///@{
     void
-    saveState(ckpt::Writer &w) const
+    serialize(ckpt::Archive &ar)
     {
-        MOSAIC_ASSERT(index_.size() == 0,
+        MOSAIC_ASSERT(ar.loading() || index_.size() == 0,
                       "checkpointing an MSHR file with in-flight misses");
-        w.u64(allocated_);
-        w.u64(merged_);
-        w.u64(overflows_);
+        ar.io(allocated_);
+        ar.io(merged_);
+        ar.io(overflows_);
     }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        allocated_ = r.u64();
-        merged_ = r.u64();
-        overflows_ = r.u64();
-    }
-    ///@}
 
   private:
     struct Entry

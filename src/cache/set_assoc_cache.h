@@ -18,7 +18,6 @@
 #ifndef MOSAIC_CACHE_SET_ASSOC_CACHE_H
 #define MOSAIC_CACHE_SET_ASSOC_CACHE_H
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -192,62 +191,30 @@ class SetAssocCache
     }
 
     /**
-     * @name Checkpoint hooks (DESIGN.md §14)
-     * Slot-exact serialization: every entry (valid or not) with its
-     * replacement metadata, plus the recency tick and the Random-policy
-     * RNG, so victim selection after a restore is identical to a run
-     * that was never saved. The FlatMap index is pure acceleration and
-     * is rebuilt, not serialized.
+     * Checkpoint hook (DESIGN.md §14). Slot-exact: every entry (valid
+     * or not) with its replacement metadata, plus the recency tick and
+     * the Random-policy RNG, so victim selection after a restore is
+     * identical to a run that was never saved. The FlatMap index is
+     * pure acceleration and is rebuilt on load, not serialized.
      */
-    ///@{
     void
-    saveState(ckpt::Writer &w) const
+    serialize(ckpt::Archive &ar)
     {
-        w.u64(tick_);
-        for (const std::uint64_t word : rng_.serializeState())
-            w.u64(word);
-        w.u64(entries_.size());
-        for (const Entry &e : entries_) {
-            w.u64(e.key);
-            w.u64(e.lastUse);
-            w.u64(e.insertedAt);
-            w.u8(static_cast<std::uint8_t>((e.valid ? 1 : 0) |
-                                           (e.dirty ? 2 : 0)));
-        }
-    }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        tick_ = r.u64();
-        std::array<std::uint64_t, 4> rng_state;
-        for (std::uint64_t &word : rng_state)
-            word = r.u64();
-        rng_.deserializeState(rng_state);
-        const std::uint64_t n = r.u64();
-        if (n != entries_.size()) {
-            r.fail("cache geometry mismatch (" + std::to_string(n) +
-                   " serialized entries, " +
-                   std::to_string(entries_.size()) + " configured)");
-            return;
-        }
-        if (indexed_)
+        ar.io(tick_);
+        ar.io(rng_);
+        ar.expect(entries_.size(), "cache geometry (entries)");
+        if (ar.loading() && indexed_)
             index_.clear();
         for (std::size_t i = 0; i < entries_.size(); ++i) {
             Entry &e = entries_[i];
-            e.key = r.u64();
-            e.lastUse = r.u64();
-            e.insertedAt = r.u64();
-            const std::uint8_t flags = r.u8();
-            e.valid = (flags & 1) != 0;
-            e.dirty = (flags & 2) != 0;
-            if (!r.ok())
-                return;
-            if (e.valid && indexed_)
+            ar.io(e.key);
+            ar.io(e.lastUse);
+            ar.io(e.insertedAt);
+            ar.flags(e.valid, e.dirty);
+            if (ar.loading() && ar.ok() && e.valid && indexed_)
                 index_.insert(e.key, static_cast<std::uint32_t>(i));
         }
     }
-    ///@}
 
   private:
     /** Below this associativity a linear scan beats the hash probe. */

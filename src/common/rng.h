@@ -11,9 +11,9 @@
 #ifndef MOSAIC_COMMON_RNG_H
 #define MOSAIC_COMMON_RNG_H
 
-#include <array>
 #include <cstdint>
-#include <cstddef>
+
+#include "ckpt/serde.h"
 
 namespace mosaic {
 
@@ -80,21 +80,13 @@ class Rng
         return uniform() < p;
     }
 
-    /** @name Checkpoint hooks: the raw xoshiro state (DESIGN.md §14) */
-    ///@{
-    std::array<std::uint64_t, 4>
-    serializeState() const
-    {
-        return {state_[0], state_[1], state_[2], state_[3]};
-    }
-
+    /** Checkpoint hook: the raw xoshiro state (DESIGN.md §14). */
     void
-    deserializeState(const std::array<std::uint64_t, 4> &s)
+    serialize(ckpt::Archive &ar)
     {
-        for (std::size_t i = 0; i < 4; ++i)
-            state_[i] = s[i];
+        for (std::uint64_t &word : state_)
+            ar.io(word);
     }
-    ///@}
 
   private:
     static std::uint64_t

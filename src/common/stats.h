@@ -63,24 +63,19 @@ class Histogram
     /** Raw bucket counts; the last bucket holds overflow. */
     const std::vector<std::uint64_t> &buckets() const { return counts_; }
 
-    /** Sum of all recorded samples (checkpoint hook). */
-    std::uint64_t sum() const { return sum_; }
-
     /**
-     * Restores the full sample state (checkpoint hook). @p counts must
-     * match this histogram's bucket count — the shape is configuration,
-     * not state, so a checkpoint only carries the tallies.
+     * Checkpoint hook (DESIGN.md §14): the tallies. The bucket count is
+     * configuration, not state, so a differing count fails the load.
      */
     void
-    restoreState(const std::vector<std::uint64_t> &counts,
-                 std::uint64_t sum, std::uint64_t samples,
-                 std::uint64_t maxSample)
+    serialize(ckpt::Archive &ar)
     {
-        if (counts.size() == counts_.size())
-            counts_ = counts;
-        sum_ = sum;
-        samples_ = samples;
-        max_ = maxSample;
+        ar.expect(counts_.size(), "histogram bucket count");
+        for (std::uint64_t &c : counts_)
+            ar.io(c);
+        ar.io(sum_);
+        ar.io(samples_);
+        ar.io(max_);
     }
 
     /** Width of each bucket. */
@@ -144,40 +139,6 @@ class Histogram
     std::uint64_t samples_ = 0;
     std::uint64_t max_ = 0;
 };
-
-/** Serializes a histogram's tallies (shape is configuration, not state). */
-inline void
-saveHistogram(ckpt::Writer &w, const Histogram &h)
-{
-    w.u64(h.buckets().size());
-    for (std::uint64_t c : h.buckets())
-        w.u64(c);
-    w.u64(h.sum());
-    w.u64(h.samples());
-    w.u64(h.max());
-}
-
-/** Restores tallies saved by saveHistogram; fails the reader on a
- *  bucket-count mismatch (the configs diverged). */
-inline void
-loadHistogram(ckpt::Reader &r, Histogram &h)
-{
-    const std::uint64_t buckets = r.count(1u << 20, "histogram buckets");
-    if (!r.ok())
-        return;
-    if (buckets != h.buckets().size()) {
-        r.fail("histogram bucket-count mismatch");
-        return;
-    }
-    std::vector<std::uint64_t> counts(static_cast<std::size_t>(buckets));
-    for (auto &c : counts)
-        c = r.u64();
-    const std::uint64_t sum = r.u64();
-    const std::uint64_t samples = r.u64();
-    const std::uint64_t max_sample = r.u64();
-    if (r.ok())
-        h.restoreState(counts, sum, samples, max_sample);
-}
 
 }  // namespace mosaic
 

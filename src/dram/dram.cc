@@ -383,44 +383,25 @@ DramModel::bulkCopyPage(Addr src, Addr dst, bool inDramCopy,
 }
 
 void
-DramModel::saveState(ckpt::Writer &w) const
-{
-    for (const Channel &ch : channels_) {
-        MOSAIC_ASSERT(ch.queue.empty() && ch.inFlight == 0 &&
-                          !ch.dispatchScheduled,
-                      "checkpointing a DRAM channel with queued requests");
-        for (const Bank &bank : ch.banks) {
-            w.u64(static_cast<std::uint64_t>(bank.openRow));
-            w.u64(bank.readyAt);
-        }
-        w.u64(ch.busFreeAt);
-        w.u64(ch.stats.reads);
-        w.u64(ch.stats.writes);
-        w.u64(ch.stats.rowHits);
-        w.u64(ch.stats.rowMisses);
-        saveHistogram(w, ch.stats.latency);
-    }
-    w.u64(bulkCopies_);
-    w.u64(bulkCopyCycles_);
-}
-
-void
-DramModel::loadState(ckpt::Reader &r)
+DramModel::serialize(ckpt::Archive &ar)
 {
     for (Channel &ch : channels_) {
+        MOSAIC_ASSERT(ar.loading() || (ch.queue.empty() && ch.inFlight == 0 &&
+                                       !ch.dispatchScheduled),
+                      "checkpointing a DRAM channel with queued requests");
         for (Bank &bank : ch.banks) {
-            bank.openRow = static_cast<std::int64_t>(r.u64());
-            bank.readyAt = r.u64();
+            ar.as<std::uint64_t>(bank.openRow);
+            ar.io(bank.readyAt);
         }
-        ch.busFreeAt = r.u64();
-        ch.stats.reads = r.u64();
-        ch.stats.writes = r.u64();
-        ch.stats.rowHits = r.u64();
-        ch.stats.rowMisses = r.u64();
-        loadHistogram(r, ch.stats.latency);
+        ar.io(ch.busFreeAt);
+        ar.io(ch.stats.reads);
+        ar.io(ch.stats.writes);
+        ar.io(ch.stats.rowHits);
+        ar.io(ch.stats.rowMisses);
+        ar.io(ch.stats.latency);
     }
-    bulkCopies_ = r.u64();
-    bulkCopyCycles_ = r.u64();
+    ar.io(bulkCopies_);
+    ar.io(bulkCopyCycles_);
 }
 
 }  // namespace mosaic

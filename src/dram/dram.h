@@ -180,17 +180,13 @@ class DramModel
     std::size_t inFlight() const;
 
     /**
-     * @name Checkpoint hooks (DESIGN.md §14)
-     * Captures per-channel bank state (open rows, ready times), bus and
-     * dispatch timing, and all counters. Request queues must be empty —
-     * a queued DramRequest holds a completion continuation that cannot
-     * be serialized, so the quiesce protocol drains them first
-     * (asserted).
+     * Checkpoint hook (DESIGN.md §14). Captures per-channel bank state
+     * (open rows, ready times), bus and dispatch timing, and all
+     * counters. Request queues must be empty — a queued DramRequest
+     * holds a completion continuation that cannot be serialized, so the
+     * quiesce protocol drains them first (asserted).
      */
-    ///@{
-    void saveState(ckpt::Writer &w) const;
-    void loadState(ckpt::Reader &r);
-    ///@}
+    void serialize(ckpt::Archive &ar);
 
   private:
     struct Bank

@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/serde.h"
 #include "common/inline_function.h"
 #include "common/log.h"
 #include "common/types.h"
@@ -156,36 +157,24 @@ class EventQueue
     }
 
     /**
-     * @name Checkpoint hooks (DESIGN.md §14)
-     * A checkpoint is only taken with the queue fully drained (the
-     * quiesce protocol), so the serializable state reduces to the three
-     * clocks. The slab and its free list are payload-only storage —
-     * empty after a drain — and the heap orders by (when, seq), so
-     * restoring the clocks and re-scheduling the resume events in a
-     * canonical order reproduces the exact event order of a run that
-     * was never saved.
+     * Checkpoint hook (DESIGN.md §14). A checkpoint is only taken with
+     * the queue fully drained (the quiesce protocol), so the
+     * serializable state reduces to the three clocks. The slab and its
+     * free list are payload-only storage — empty after a drain — and the
+     * heap orders by (when, seq), so restoring the clocks and
+     * re-scheduling the resume events in a canonical order reproduces
+     * the exact event order of a run that was never saved.
+     * @pre on load, the queue is empty (quiesced).
      */
-    ///@{
-    struct Clock
-    {
-        Cycles now = 0;
-        std::uint64_t nextSeq = 0;
-        std::uint64_t executed = 0;
-    };
-
-    Clock saveClock() const { return {now_, nextSeq_, executed_}; }
-
-    /** @pre the queue is empty (quiesced). */
     void
-    restoreClock(const Clock &c)
+    serialize(ckpt::Archive &ar)
     {
-        MOSAIC_ASSERT(queue_.empty(),
-                      "restoreClock on a non-quiesced queue");
-        now_ = c.now;
-        nextSeq_ = c.nextSeq;
-        executed_ = c.executed;
+        MOSAIC_ASSERT(!ar.loading() || queue_.empty(),
+                      "restoring the clock of a non-quiesced queue");
+        ar.io(now_);
+        ar.io(nextSeq_);
+        ar.io(executed_);
     }
-    ///@}
 
   private:
     struct Event

@@ -594,91 +594,38 @@ ShardedEngine::workerLoop(unsigned worker)
 }
 
 void
-ShardedEngine::saveState(ckpt::Writer &w) const
+ShardedEngine::serialize(ckpt::Archive &ar)
 {
-    MOSAIC_ASSERT(!anyWork(),
+    MOSAIC_ASSERT(ar.loading() || !anyWork(),
                   "checkpointing a sharded engine with pending events");
-    w.u64(windowStart_);
-    w.u64(epochs_);
-    w.u64(windowJumps_);
-    w.u64(jumpedCycles_);
-    w.u64(hubInMsgs_);
-    w.u64(hubToSmTimed_);
-    w.u64(hubToSmDeferred_);
-    w.u64(hubBusyWindows_);
-    w.u64(hubLastExecuted_);
-    w.u64(hubLastSampled_);
-    saveHistogram(w, hubQueueDepth_);
-    saveHistogram(w, hubWindowEvents_);
-    const auto save_clock = [&w](const EventQueue &q) {
-        const EventQueue::Clock clock = q.saveClock();
-        w.u64(clock.now);
-        w.u64(clock.nextSeq);
-        w.u64(clock.executed);
-    };
-    save_clock(hub_);
-    w.u64(lanes_.size());
-    for (const Lane &lane : lanes_) {
-        save_clock(lane.queue);
-        w.u64(lane.outMsgs);
-        w.u64(lane.busyWindows);
-        w.u64(lane.lastExecuted);
-        w.u64(lane.lastSampled);
-    }
-    w.u64(subs_.size());
-    for (const SubLane &sub : subs_) {
-        save_clock(sub.queue);
-        w.u64(sub.outMsgs);
-        w.u64(sub.busyWindows);
-        w.u64(sub.lastExecuted);
-        w.u64(sub.lastSampled);
-    }
-}
-
-void
-ShardedEngine::loadState(ckpt::Reader &r)
-{
-    windowStart_ = r.u64();
-    epochs_ = r.u64();
-    windowJumps_ = r.u64();
-    jumpedCycles_ = r.u64();
-    hubInMsgs_ = r.u64();
-    hubToSmTimed_ = r.u64();
-    hubToSmDeferred_ = r.u64();
-    hubBusyWindows_ = r.u64();
-    hubLastExecuted_ = r.u64();
-    hubLastSampled_ = r.u64();
-    loadHistogram(r, hubQueueDepth_);
-    loadHistogram(r, hubWindowEvents_);
-    const auto load_clock = [&r](EventQueue &q) {
-        EventQueue::Clock clock;
-        clock.now = r.u64();
-        clock.nextSeq = r.u64();
-        clock.executed = r.u64();
-        q.restoreClock(clock);
-    };
-    load_clock(hub_);
-    if (r.u64() != lanes_.size()) {
-        r.fail("SM lane count mismatch (config changed?)");
-        return;
-    }
+    ar.io(windowStart_);
+    ar.io(epochs_);
+    ar.io(windowJumps_);
+    ar.io(jumpedCycles_);
+    ar.io(hubInMsgs_);
+    ar.io(hubToSmTimed_);
+    ar.io(hubToSmDeferred_);
+    ar.io(hubBusyWindows_);
+    ar.io(hubLastExecuted_);
+    ar.io(hubLastSampled_);
+    ar.io(hubQueueDepth_);
+    ar.io(hubWindowEvents_);
+    ar.io(hub_);
+    ar.expect(lanes_.size(), "SM lane count");
     for (Lane &lane : lanes_) {
-        load_clock(lane.queue);
-        lane.outMsgs = r.u64();
-        lane.busyWindows = r.u64();
-        lane.lastExecuted = r.u64();
-        lane.lastSampled = r.u64();
+        ar.io(lane.queue);
+        ar.io(lane.outMsgs);
+        ar.io(lane.busyWindows);
+        ar.io(lane.lastExecuted);
+        ar.io(lane.lastSampled);
     }
-    if (r.u64() != subs_.size()) {
-        r.fail("hub sub-lane count mismatch (config changed?)");
-        return;
-    }
+    ar.expect(subs_.size(), "hub sub-lane count");
     for (SubLane &sub : subs_) {
-        load_clock(sub.queue);
-        sub.outMsgs = r.u64();
-        sub.busyWindows = r.u64();
-        sub.lastExecuted = r.u64();
-        sub.lastSampled = r.u64();
+        ar.io(sub.queue);
+        ar.io(sub.outMsgs);
+        ar.io(sub.busyWindows);
+        ar.io(sub.lastExecuted);
+        ar.io(sub.lastSampled);
     }
 }
 

@@ -196,19 +196,16 @@ class ShardedEngine final : public LaneRouter, public HubSubLanes
     void drain();
 
     /**
-     * @name Checkpoint hooks (DESIGN.md §14)
-     * Serialize the engine's window position and the self-profiler's
-     * *simulated* figures (the exact set registerMetrics binds — the
-     * wall-clock figures are host noise and deliberately excluded, so
-     * the bytes stay worker-count independent). Every lane queue's
-     * clock rides along; a quiesce point leaves all queues drained, so
-     * no event payloads cross the checkpoint. loadState requires
-     * enableHubSubLanes to already have run with the same count.
+     * Checkpoint hook (DESIGN.md §14): the engine's window position
+     * and the self-profiler's *simulated* figures (the exact set
+     * registerMetrics binds — the wall-clock figures are host noise and
+     * deliberately excluded, so the bytes stay worker-count
+     * independent). Every lane queue's clock rides along; a quiesce
+     * point leaves all queues drained, so no event payloads cross the
+     * checkpoint. Loading requires enableHubSubLanes to already have run
+     * with the same count.
      */
-    ///@{
-    void saveState(ckpt::Writer &w) const;
-    void loadState(ckpt::Reader &r);
-    ///@}
+    void serialize(ckpt::Archive &ar);
 
   private:
     /** Outbox target tag for the control sub-lane / hub queue. */

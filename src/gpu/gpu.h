@@ -134,25 +134,12 @@ class Gpu
     }
 
     void
-    saveState(ckpt::Writer &w) const
+    serialize(ckpt::Archive &ar)
     {
-        w.u64(sms_.size());
-        for (const auto &sm : sms_)
-            sm->saveState(w);
-        w.u64(stallCycles_);
-    }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        const std::uint64_t n = r.u64();
-        if (n != sms_.size()) {
-            r.fail("SM count mismatch (config changed?)");
-            return;
-        }
+        ar.expect(sms_.size(), "SM count");
         for (auto &sm : sms_)
-            sm->loadState(r);
-        stallCycles_ = r.u64();
+            ar.io(*sm);
+        ar.io(stallCycles_);
     }
     ///@}
 

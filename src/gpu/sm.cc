@@ -239,63 +239,38 @@ Sm::warpMemPartDone(unsigned warpIdx)
 }
 
 void
-Sm::saveState(ckpt::Writer &w) const
+Sm::serialize(ckpt::Archive &ar)
 {
     // A quiesce point implies no scheduled issue event, no warp waiting
     // on memory, and no outstanding parts: continuations cannot be
     // serialized, so the drain must have retired them all.
-    MOSAIC_ASSERT(!issueScheduled_,
+    MOSAIC_ASSERT(ar.loading() || !issueScheduled_,
                   "checkpointing an SM with a scheduled issue event");
-    w.u64(warps_.size());
+    ar.expect(warps_.size(), "SM warp count");
     for (std::size_t i = 0; i < warps_.size(); ++i) {
-        const WarpCtx &warp = warps_[i];
-        MOSAIC_ASSERT(!warp.blocked && pendingParts_[i] == 0,
+        WarpCtx &warp = warps_[i];
+        MOSAIC_ASSERT(ar.loading() || (!warp.blocked && pendingParts_[i] == 0),
                       "checkpointing an SM with in-flight memory ops");
-        w.u64(warp.readyAt);
-        w.boolean(warp.done);
-        w.u64(warp.age);
-        warp.stream->saveState(w);
+        ar.io(warp.readyAt);
+        ar.io(warp.done);
+        ar.io(warp.age);
+        ar.io(*warp.stream);
+        if (ar.loading()) {
+            warp.blocked = false;
+            pendingParts_[i] = 0;
+        }
     }
-    w.u32(liveWarps_);
-    w.u32(static_cast<std::uint32_t>(lastWarp_));
-    w.u32(rrCursor_);
-    w.boolean(started_);
-    w.u64(stalledUntil_);
-    w.u64(nextIssueAllowed_);
-    w.u64(ageCounter_);
-    w.u64(stats_.instructions);
-    w.u64(stats_.memInstructions);
-    w.u64(stats_.farFaultStalls);
-    w.u64(stats_.finishedAt);
-}
-
-void
-Sm::loadState(ckpt::Reader &r)
-{
-    const std::uint64_t warps = r.u64();
-    if (warps != warps_.size()) {
-        r.fail("SM warp-count mismatch (workload config changed?)");
-        return;
-    }
-    for (WarpCtx &warp : warps_) {
-        warp.readyAt = r.u64();
-        warp.done = r.boolean();
-        warp.age = r.u64();
-        warp.blocked = false;
-        warp.stream->loadState(r);
-    }
-    std::fill(pendingParts_.begin(), pendingParts_.end(), 0u);
-    liveWarps_ = r.u32();
-    lastWarp_ = static_cast<int>(static_cast<std::int32_t>(r.u32()));
-    rrCursor_ = r.u32();
-    started_ = r.boolean();
-    stalledUntil_ = r.u64();
-    nextIssueAllowed_ = r.u64();
-    ageCounter_ = r.u64();
-    stats_.instructions = r.u64();
-    stats_.memInstructions = r.u64();
-    stats_.farFaultStalls = r.u64();
-    stats_.finishedAt = r.u64();
+    ar.io(liveWarps_);
+    ar.as<std::uint32_t>(lastWarp_);
+    ar.io(rrCursor_);
+    ar.io(started_);
+    ar.io(stalledUntil_);
+    ar.io(nextIssueAllowed_);
+    ar.io(ageCounter_);
+    ar.io(stats_.instructions);
+    ar.io(stats_.memInstructions);
+    ar.io(stats_.farFaultStalls);
+    ar.io(stats_.finishedAt);
 }
 
 void

@@ -80,7 +80,7 @@ class Sm
      * pause() stops the SM from issuing (in-flight memory operations
      * still complete and unblock their warps, but no new instruction
      * issues and no issue event stays scheduled), letting the engine
-     * drain to a quiescent point. saveState then captures the warp
+     * drain to a quiescent point. serialize() then captures the warp
      * contexts; resume(when) re-arms issue at the quiesce cycle —
      * identically whether the simulation continues in-process or was
      * just restored from the checkpoint bytes.
@@ -96,8 +96,7 @@ class Sm
             scheduleIssue(when);
     }
 
-    void saveState(ckpt::Writer &w) const;
-    void loadState(ckpt::Reader &r);
+    void serialize(ckpt::Archive &ar);
     ///@}
 
     /** True when every warp has retired. */

@@ -53,17 +53,13 @@ class WarpStream
     virtual bool next(WarpInstr &out) = 0;
 
     /**
-     * @name Checkpoint hooks (DESIGN.md §14)
-     * Serialize/restore the stream's cursor so a restored warp resumes
-     * at exactly the next instruction. The stream is reconstructed from
-     * the workload config before loadState runs, so implementations
-     * only carry mutable progress (position, RNG draw state, pending
-     * compute latency), not the generator parameters.
+     * Checkpoint hook (DESIGN.md §14): the stream's cursor, so a
+     * restored warp resumes at exactly the next instruction. The stream
+     * is reconstructed from the workload config before a load, so
+     * implementations only carry mutable progress (position, RNG draw
+     * state, pending compute latency), not the generator parameters.
      */
-    ///@{
-    virtual void saveState(ckpt::Writer &w) const = 0;
-    virtual void loadState(ckpt::Reader &r) = 0;
-    ///@}
+    virtual void serialize(ckpt::Archive &ar) = 0;
 };
 
 }  // namespace mosaic

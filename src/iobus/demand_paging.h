@@ -198,35 +198,22 @@ class DemandPager
     /** Number of distinct in-flight far-faults. */
     std::size_t inFlight() const { return faults_.size(); }
 
-    /** Checkpoint hooks (DESIGN.md §14): a quiesce point drains every
+    /** Checkpoint hook (DESIGN.md §14): a quiesce point drains every
      *  fault (an abandoned-OOM fault would be an unserializable
      *  continuation — asserted), so only the counters cross. */
-    ///@{
     void
-    saveState(ckpt::Writer &w) const
+    serialize(ckpt::Archive &ar)
     {
-        MOSAIC_ASSERT(faults_.size() == 0,
+        MOSAIC_ASSERT(ar.loading() || faults_.size() == 0,
                       "checkpointing a pager with in-flight far-faults "
                       "(an abandoned-OOM fault cannot be serialized)");
-        w.u64(stats_.farFaults);
-        w.u64(stats_.mergedFaults);
-        w.u64(stats_.bytesTransferred);
-        w.u64(stats_.oomFaults);
-        w.u64(stats_.oomRetries);
-        w.u64(stats_.prefetchedPages);
+        ar.io(stats_.farFaults);
+        ar.io(stats_.mergedFaults);
+        ar.io(stats_.bytesTransferred);
+        ar.io(stats_.oomFaults);
+        ar.io(stats_.oomRetries);
+        ar.io(stats_.prefetchedPages);
     }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        stats_.farFaults = r.u64();
-        stats_.mergedFaults = r.u64();
-        stats_.bytesTransferred = r.u64();
-        stats_.oomFaults = r.u64();
-        stats_.oomRetries = r.u64();
-        stats_.prefetchedPages = r.u64();
-    }
-    ///@}
 
   private:
     /**

@@ -108,30 +108,18 @@ class PcieBus
     /** Configuration. */
     const PcieConfig &config() const { return config_; }
 
-    /** Checkpoint hooks (DESIGN.md §14): the bus holds no queue of its
+    /** Checkpoint hook (DESIGN.md §14): the bus holds no queue of its
      *  own — in-flight transfers live as scheduled completion events, so
      *  only the bus-free time and counters cross a checkpoint. */
-    ///@{
     void
-    saveState(ckpt::Writer &w) const
+    serialize(ckpt::Archive &ar)
     {
-        w.u64(busFreeAt_);
-        w.u64(stats_.transfers);
-        w.u64(stats_.bytes);
-        w.u64(stats_.busBusyCycles);
-        saveHistogram(w, stats_.latency);
+        ar.io(busFreeAt_);
+        ar.io(stats_.transfers);
+        ar.io(stats_.bytes);
+        ar.io(stats_.busBusyCycles);
+        ar.io(stats_.latency);
     }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        busFreeAt_ = r.u64();
-        stats_.transfers = r.u64();
-        stats_.bytes = r.u64();
-        stats_.busBusyCycles = r.u64();
-        loadHistogram(r, stats_.latency);
-    }
-    ///@}
 
   private:
     EventQueue &events_;

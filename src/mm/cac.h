@@ -91,34 +91,10 @@ class Cac
      */
     Cycles migrationCycles(Addr src, Addr dst) const;
 
-    /** Checkpoint hooks (DESIGN.md §14): the emergency-membership bitmap
+    /** Checkpoint hook (DESIGN.md §14): the emergency-membership bitmap
      *  deliberately keeps stale bits for retired frames (reclaim prunes
      *  them lazily), so it is real state and serializes bit-exactly. */
-    ///@{
-    void
-    saveState(ckpt::Writer &w) const
-    {
-        for (std::size_t base = 0; base < inEmergency_.size(); base += 64) {
-            std::uint64_t word = 0;
-            for (std::size_t i = 0;
-                 i < 64 && base + i < inEmergency_.size(); ++i)
-                word |= static_cast<std::uint64_t>(inEmergency_[base + i])
-                        << i;
-            w.u64(word);
-        }
-    }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        for (std::size_t base = 0; base < inEmergency_.size(); base += 64) {
-            const std::uint64_t word = r.u64();
-            for (std::size_t i = 0;
-                 i < 64 && base + i < inEmergency_.size(); ++i)
-                inEmergency_[base + i] = (word >> i & 1) != 0;
-        }
-    }
-    ///@}
+    void serialize(ckpt::Archive &ar) { ar.bits(inEmergency_); }
 
   private:
     /** Releases a now-empty frame back to CoCoA's free frame list. */

@@ -218,87 +218,33 @@ class FramePool
         return frameBase(idx) + slot * kBasePageSize;
     }
 
-    /** Checkpoint hooks (DESIGN.md §14): every frame's full metadata —
+    /** Checkpoint hook (DESIGN.md §14): every frame's full metadata —
      *  slot bitmaps as packed words, slotVa only when materialized. */
-    ///@{
     void
-    saveState(ckpt::Writer &w) const
+    serialize(ckpt::Archive &ar)
     {
-        w.u64(frames_.size());
-        for (const FrameInfo &f : frames_) {
-            w.u16(f.owner);
-            w.u8(static_cast<std::uint8_t>(f.mixed) |
-                 static_cast<std::uint8_t>(f.coalesced) << 1);
-            w.u16(f.usedCount);
-            w.u16(f.residentCount);
-            w.u16(f.pinnedCount);
-            saveBitset(w, f.used);
-            saveBitset(w, f.pinned);
-            w.boolean(!f.slotVa.empty());
-            for (Addr va : f.slotVa)
-                w.u64(va);
-            w.u64(f.midRuns[0]);
-            w.u64(f.midRuns[1]);
-        }
-        w.u64(allocatedPages_);
-    }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        const std::uint64_t n = r.u64();
-        if (n != frames_.size()) {
-            r.fail("frame-pool size mismatch (config changed?)");
-            return;
-        }
+        ar.expect(frames_.size(), "frame-pool size");
         for (FrameInfo &f : frames_) {
-            f.owner = r.u16();
-            const std::uint8_t flags = r.u8();
-            f.mixed = (flags & 1) != 0;
-            f.coalesced = (flags & 2) != 0;
-            f.usedCount = r.u16();
-            f.residentCount = r.u16();
-            f.pinnedCount = r.u16();
-            loadBitset(r, f.used);
-            loadBitset(r, f.pinned);
-            if (r.boolean()) {
-                f.slotVa.resize(kBasePagesPerLargePage);
-                for (Addr &va : f.slotVa)
-                    va = r.u64();
-            } else {
-                f.slotVa.clear();
-            }
-            f.midRuns[0] = r.u64();
-            f.midRuns[1] = r.u64();
-            if (!r.ok())
-                return;
+            ar.io(f.owner);
+            ar.flags(f.mixed, f.coalesced);
+            ar.io(f.usedCount);
+            ar.io(f.residentCount);
+            ar.io(f.pinnedCount);
+            ar.bits(f.used);
+            ar.bits(f.pinned);
+            bool has_slot_va = !f.slotVa.empty();
+            ar.io(has_slot_va);
+            if (ar.loading())
+                f.slotVa.resize(has_slot_va ? kBasePagesPerLargePage : 0);
+            for (Addr &va : f.slotVa)
+                ar.io(va);
+            ar.io(f.midRuns[0]);
+            ar.io(f.midRuns[1]);
         }
-        allocatedPages_ = r.u64();
+        ar.io(allocatedPages_);
     }
-    ///@}
 
   private:
-    static void
-    saveBitset(ckpt::Writer &w, const std::bitset<kBasePagesPerLargePage> &b)
-    {
-        for (std::size_t base = 0; base < b.size(); base += 64) {
-            std::uint64_t word = 0;
-            for (std::size_t i = 0; i < 64 && base + i < b.size(); ++i)
-                word |= static_cast<std::uint64_t>(b[base + i]) << i;
-            w.u64(word);
-        }
-    }
-
-    static void
-    loadBitset(ckpt::Reader &r, std::bitset<kBasePagesPerLargePage> &b)
-    {
-        for (std::size_t base = 0; base < b.size(); base += 64) {
-            const std::uint64_t word = r.u64();
-            for (std::size_t i = 0; i < 64 && base + i < b.size(); ++i)
-                b[base + i] = (word >> i & 1) != 0;
-        }
-    }
-
     Addr base_;
     std::vector<FrameInfo> frames_;
     std::uint64_t allocatedPages_ = 0;

@@ -104,36 +104,13 @@ GpuMmuManager::allocatedBytes() const
 }
 
 void
-GpuMmuManager::saveState(ckpt::Writer &w) const
+GpuMmuManager::serialize(ckpt::Archive &ar)
 {
-    pool_.saveState(w);
-    w.u64(recycledSlots_.size());
-    for (const auto &[frame, slot] : recycledSlots_) {
-        w.u32(frame);
-        w.u16(slot);
-    }
-    w.u64(cursorFrame_);
-    w.u32(cursorSlot_);
-    saveManagerStats(w, stats_);
-}
-
-void
-GpuMmuManager::loadState(ckpt::Reader &r)
-{
-    pool_.loadState(r);
-    const std::uint64_t n = r.count(1u << 28, "recycled slots");
-    if (!r.ok())
-        return;
-    recycledSlots_.clear();
-    recycledSlots_.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint32_t frame = r.u32();
-        const std::uint16_t slot = r.u16();
-        recycledSlots_.emplace_back(frame, slot);
-    }
-    cursorFrame_ = r.u64();
-    cursorSlot_ = r.u32();
-    loadManagerStats(r, stats_);
+    ar.io(pool_);
+    ar.io(recycledSlots_, 1u << 28, "recycled slots");
+    ar.io(cursorFrame_);
+    ar.io(cursorSlot_);
+    ar.io(stats_);
 }
 
 }  // namespace mosaic

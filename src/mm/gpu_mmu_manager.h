@@ -42,8 +42,7 @@ class GpuMmuManager : public MemoryManager
     /** Frame bookkeeping (tests/inspection). */
     const FramePool &pool() const { return pool_; }
 
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+    void serialize(ckpt::Archive &ar) override;
 
   private:
     FramePool pool_;

@@ -1,7 +1,5 @@
 #include "mm/large_only_manager.h"
 
-#include <algorithm>
-
 #include "vm/translation.h"
 
 namespace mosaic {
@@ -130,63 +128,13 @@ LargeOnlyManager::allocatedBytes() const
 }
 
 void
-LargeOnlyManager::saveState(ckpt::Writer &w) const
+LargeOnlyManager::serialize(ckpt::Archive &ar)
 {
-    pool_.saveState(w);
-    w.u64(freeFrames_.size());
-    for (std::uint32_t frame : freeFrames_)
-        w.u32(frame);
-    // Sorted key order: the bytes must be a pure function of the
-    // logical state, not of unordered_map insertion/bucket history.
-    std::vector<AppId> app_ids;
-    app_ids.reserve(apps_.size());
-    for (const auto &[app, st] : apps_)
-        app_ids.push_back(app);
-    std::sort(app_ids.begin(), app_ids.end());
-    w.u64(app_ids.size());
-    for (AppId app : app_ids) {
-        const AppState &st = apps_.at(app);
-        w.u16(app);
-        std::vector<std::uint64_t> chunks;
-        chunks.reserve(st.chunkFrames.size());
-        for (const auto &[chunk, frame] : st.chunkFrames)
-            chunks.push_back(chunk);
-        std::sort(chunks.begin(), chunks.end());
-        w.u64(chunks.size());
-        for (std::uint64_t chunk : chunks) {
-            w.u64(chunk);
-            w.u32(st.chunkFrames.at(chunk));
-        }
-    }
-    w.u64(framesHeld_);
-    saveManagerStats(w, stats_);
-}
-
-void
-LargeOnlyManager::loadState(ckpt::Reader &r)
-{
-    pool_.loadState(r);
-    const std::uint64_t frames = r.count(1u << 28, "free frames");
-    if (!r.ok())
-        return;
-    freeFrames_.clear();
-    freeFrames_.reserve(static_cast<std::size_t>(frames));
-    for (std::uint64_t i = 0; i < frames; ++i)
-        freeFrames_.push_back(r.u32());
-    const std::uint64_t apps = r.count(1u << 16, "app slots");
-    for (std::uint64_t i = 0; i < apps && r.ok(); ++i) {
-        const AppId app = r.u16();
-        // Preserve the page-table pointer registerApp wired in.
-        AppState &st = apps_[app];
-        st.chunkFrames.clear();
-        const std::uint64_t chunks = r.count(1u << 28, "chunk frames");
-        for (std::uint64_t j = 0; j < chunks && r.ok(); ++j) {
-            const std::uint64_t chunk = r.u64();
-            st.chunkFrames[chunk] = r.u32();
-        }
-    }
-    framesHeld_ = r.u64();
-    loadManagerStats(r, stats_);
+    ar.io(pool_);
+    ar.io(freeFrames_, 1u << 28, "free frames");
+    ar.io(apps_, 1u << 16, "app slots");
+    ar.io(framesHeld_);
+    ar.io(stats_);
 }
 
 }  // namespace mosaic

@@ -35,8 +35,7 @@ class LargeOnlyManager : public MemoryManager
     const MemoryManagerStats &stats() const override { return stats_; }
     const FramePool *framePool() const override { return &pool_; }
 
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+    void serialize(ckpt::Archive &ar) override;
 
   private:
     struct AppState
@@ -44,6 +43,13 @@ class LargeOnlyManager : public MemoryManager
         PageTable *pageTable = nullptr;
         /** Frame per virtual large page number. */
         std::unordered_map<std::uint64_t, std::uint32_t> chunkFrames;
+
+        /** Checkpoint hook: everything but the page-table wiring. */
+        void
+        serialize(ckpt::Archive &ar)
+        {
+            ar.io(chunkFrames, 1u << 28, "chunk frames");
+        }
     };
 
     FramePool pool_;

@@ -83,43 +83,24 @@ struct MemoryManagerStats
     std::uint64_t emergencySplinters = 0;
     std::uint64_t softGuaranteeViolations = 0;
     std::uint64_t outOfFrames = 0;           ///< free-frame-list misses
+
+    void
+    serialize(ckpt::Archive &ar)
+    {
+        ar.io(regionsReserved);
+        ar.io(pagesBacked);
+        ar.io(pagesReleased);
+        ar.io(coalesceOps);
+        ar.io(splinterOps);
+        ar.io(midCoalesceOps);
+        ar.io(midSplinterOps);
+        ar.io(compactions);
+        ar.io(migrations);
+        ar.io(emergencySplinters);
+        ar.io(softGuaranteeViolations);
+        ar.io(outOfFrames);
+    }
 };
-
-/** Serializes the common manager counters (checkpoint hook). */
-inline void
-saveManagerStats(ckpt::Writer &w, const MemoryManagerStats &s)
-{
-    w.u64(s.regionsReserved);
-    w.u64(s.pagesBacked);
-    w.u64(s.pagesReleased);
-    w.u64(s.coalesceOps);
-    w.u64(s.splinterOps);
-    w.u64(s.midCoalesceOps);
-    w.u64(s.midSplinterOps);
-    w.u64(s.compactions);
-    w.u64(s.migrations);
-    w.u64(s.emergencySplinters);
-    w.u64(s.softGuaranteeViolations);
-    w.u64(s.outOfFrames);
-}
-
-/** Restores counters saved by saveManagerStats. */
-inline void
-loadManagerStats(ckpt::Reader &r, MemoryManagerStats &s)
-{
-    s.regionsReserved = r.u64();
-    s.pagesBacked = r.u64();
-    s.pagesReleased = r.u64();
-    s.coalesceOps = r.u64();
-    s.splinterOps = r.u64();
-    s.midCoalesceOps = r.u64();
-    s.midSplinterOps = r.u64();
-    s.compactions = r.u64();
-    s.migrations = r.u64();
-    s.emergencySplinters = r.u64();
-    s.softGuaranteeViolations = r.u64();
-    s.outOfFrames = r.u64();
-}
 
 /** Abstract interface implemented by all GPU memory managers. */
 class MemoryManager
@@ -128,18 +109,14 @@ class MemoryManager
     virtual ~MemoryManager() = default;
 
     /**
-     * @name Checkpoint hooks (DESIGN.md §14)
-     * Serialize/restore the manager's complete mutable state (frame
-     * pool, free lists, per-app allocator state, counters). Containers
-     * with unordered iteration must be written in sorted key order so
-     * the bytes are a pure function of the logical state, independent
-     * of insertion history. loadState expects registerApp to have run
-     * for every app first (page-table pointers are wiring, not state).
+     * Checkpoint hook (DESIGN.md §14): the manager's complete mutable
+     * state (frame pool, free lists, per-app allocator state, counters).
+     * Unordered maps go through Archive's sorted-key map overload so the
+     * bytes are a pure function of the logical state, independent of
+     * insertion history. Loading expects registerApp to have run for
+     * every app first (page-table pointers are wiring, not state).
      */
-    ///@{
-    virtual void saveState(ckpt::Writer &w) const = 0;
-    virtual void loadState(ckpt::Reader &r) = 0;
-    ///@}
+    virtual void serialize(ckpt::Archive &ar) = 0;
 
     /** Provides timing services; call once before simulation starts. */
     virtual void setEnv(const ManagerEnv &env) = 0;

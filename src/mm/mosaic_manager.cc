@@ -348,100 +348,19 @@ MosaicManager::injectFragmentation(double fragmentationIndex,
 }
 
 void
-MosaicManager::saveState(ckpt::Writer &w) const
+MosaicManager::serialize(ckpt::Archive &ar)
 {
-    state_.pool.saveState(w);
-    w.u64(state_.frameChunkVa.size());
-    for (Addr va : state_.frameChunkVa)
-        w.u64(va);
+    ar.io(state_.pool);
+    ar.expect(state_.frameChunkVa.size(), "frame-chunk table size");
+    for (Addr &va : state_.frameChunkVa)
+        ar.io(va);
     // Free and emergency lists keep their exact order: allocation pops
     // from the back, so the order is allocation-visible state.
-    w.u64(state_.freeFrames.size());
-    for (std::uint32_t frame : state_.freeFrames)
-        w.u32(frame);
-    w.u64(state_.emergencyFrames.size());
-    for (std::uint32_t frame : state_.emergencyFrames)
-        w.u32(frame);
-    // Sorted key order: the bytes must be a pure function of the
-    // logical state, not of unordered_map insertion/bucket history.
-    std::vector<AppId> app_ids;
-    app_ids.reserve(state_.apps.size());
-    for (const auto &[app, st] : state_.apps)
-        app_ids.push_back(app);
-    std::sort(app_ids.begin(), app_ids.end());
-    w.u64(app_ids.size());
-    for (AppId app : app_ids) {
-        const MosaicAppState &st = state_.apps.at(app);
-        w.u16(app);
-        w.u64(st.freeBaseSlots.size());
-        for (const auto &[frame, slot] : st.freeBaseSlots) {
-            w.u32(frame);
-            w.u16(slot);
-        }
-        std::vector<std::uint64_t> chunks;
-        chunks.reserve(st.chunkFrames.size());
-        for (const auto &[chunk, frame] : st.chunkFrames)
-            chunks.push_back(chunk);
-        std::sort(chunks.begin(), chunks.end());
-        w.u64(chunks.size());
-        for (std::uint64_t chunk : chunks) {
-            w.u64(chunk);
-            w.u32(st.chunkFrames.at(chunk));
-        }
-    }
-    saveManagerStats(w, state_.stats);
-    cac_.saveState(w);
-}
-
-void
-MosaicManager::loadState(ckpt::Reader &r)
-{
-    state_.pool.loadState(r);
-    const std::uint64_t chunk_vas = r.u64();
-    if (chunk_vas != state_.frameChunkVa.size()) {
-        r.fail("frame-chunk table size mismatch (config changed?)");
-        return;
-    }
-    for (Addr &va : state_.frameChunkVa)
-        va = r.u64();
-    const std::uint64_t free_frames = r.count(1u << 28, "free frames");
-    if (!r.ok())
-        return;
-    state_.freeFrames.clear();
-    state_.freeFrames.reserve(static_cast<std::size_t>(free_frames));
-    for (std::uint64_t i = 0; i < free_frames; ++i)
-        state_.freeFrames.push_back(r.u32());
-    const std::uint64_t emergency = r.count(1u << 28, "emergency frames");
-    if (!r.ok())
-        return;
-    state_.emergencyFrames.clear();
-    state_.emergencyFrames.reserve(static_cast<std::size_t>(emergency));
-    for (std::uint64_t i = 0; i < emergency; ++i)
-        state_.emergencyFrames.push_back(r.u32());
-    const std::uint64_t apps = r.count(1u << 16, "app slots");
-    for (std::uint64_t i = 0; i < apps && r.ok(); ++i) {
-        const AppId app = r.u16();
-        // Preserve the page-table pointer registerApp wired in.
-        MosaicAppState &st = state_.apps[app];
-        const std::uint64_t slots = r.count(1u << 28, "free base slots");
-        if (!r.ok())
-            return;
-        st.freeBaseSlots.clear();
-        st.freeBaseSlots.reserve(static_cast<std::size_t>(slots));
-        for (std::uint64_t j = 0; j < slots; ++j) {
-            const std::uint32_t frame = r.u32();
-            const std::uint16_t slot = r.u16();
-            st.freeBaseSlots.emplace_back(frame, slot);
-        }
-        st.chunkFrames.clear();
-        const std::uint64_t chunks = r.count(1u << 28, "chunk frames");
-        for (std::uint64_t j = 0; j < chunks && r.ok(); ++j) {
-            const std::uint64_t chunk = r.u64();
-            st.chunkFrames[chunk] = r.u32();
-        }
-    }
-    loadManagerStats(r, state_.stats);
-    cac_.loadState(r);
+    ar.io(state_.freeFrames, 1u << 28, "free frames");
+    ar.io(state_.emergencyFrames, 1u << 28, "emergency frames");
+    ar.io(state_.apps, 1u << 16, "app slots");
+    ar.io(state_.stats);
+    ar.io(cac_);
 }
 
 }  // namespace mosaic

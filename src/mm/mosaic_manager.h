@@ -113,8 +113,7 @@ class MosaicManager : public MemoryManager
     /** The page-size selector (tests/inspection). */
     InPlaceCoalescer &coalescer() { return coalescer_; }
 
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+    void serialize(ckpt::Archive &ar) override;
 
   private:
     /** Assigns a free frame to virtual chunk @p chunkVa of @p app. */

@@ -35,6 +35,14 @@ struct MosaicAppState
      * (key: virtual large page number).
      */
     std::unordered_map<std::uint64_t, std::uint32_t> chunkFrames;
+
+    /** Checkpoint hook: everything but the page-table wiring. */
+    void
+    serialize(ckpt::Archive &ar)
+    {
+        ar.io(freeBaseSlots, 1u << 28, "free base slots");
+        ar.io(chunkFrames, 1u << 28, "chunk frames");
+    }
 };
 
 /** CAC policy knobs. */

@@ -1,7 +1,6 @@
 #include "runner/simulation.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -646,12 +645,13 @@ runSimulation(const Workload &workload, const SimConfig &config)
     // directly affects performance. Additionally, a random slice of
     // another buffer is released to create the internal fragmentation
     // CAC exists to clean up.
-    std::shared_ptr<std::function<void()>> churn_tick;
+    // Like the other tick chains below, the closure outlives the event
+    // loop, so pending events capture it by reference.
+    std::function<void()> churn_tick;
     Rng churn_rng(config.seed * 31 + 7);
     if (config.churn.enabled) {
-        churn_tick = std::make_shared<std::function<void()>>();
-        *churn_tick = [&apps, &manager, &events, &config, &churn_rng,
-                       &quiescing, churn_tick] {
+        churn_tick = [&apps, &manager, &events, &config, &churn_rng,
+                      &quiescing, &churn_tick] {
             if (quiescing)
                 return;  // draining; the checkpoint re-arm reschedules
             std::vector<AppCtx *> live;
@@ -690,11 +690,11 @@ runSimulation(const Workload &workload, const SimConfig &config)
             }
 
             events.scheduleAfter(config.churn.periodCycles,
-                                 [churn_tick] { (*churn_tick)(); });
+                                 [&churn_tick] { churn_tick(); });
         };
         if (!restoring) {
             events.scheduleAfter(config.churn.periodCycles,
-                                 [churn_tick] { (*churn_tick)(); });
+                                 [&churn_tick] { churn_tick(); });
         }
     }
 
@@ -790,151 +790,77 @@ runSimulation(const Workload &workload, const SimConfig &config)
     const std::uint64_t fingerprint =
         configFingerprint(workload, config, shards > 0);
 
-    // Serializes every component in canonical section order. Only ever
-    // called at a quiesce point: SMs paused, every queue drained (each
-    // component's saveState asserts its own share of that contract),
-    // and crucially *before* the re-arm, so the captured event-queue
-    // clocks exclude the resume events -- the restore path re-creates
-    // them through the same rearm() call instead.
-    const auto save_all = [&](ckpt::Writer &w) {
-        w.section(kSecEngine);
-        w.boolean(engine != nullptr);
-        if (engine != nullptr) {
-            engine->saveState(w);
-        } else {
-            const EventQueue::Clock c = events.saveClock();
-            w.u64(c.now);
-            w.u64(c.nextSeq);
-            w.u64(c.executed);
-        }
-        w.section(kSecVm);
-        pt_alloc.saveState(w);
-        w.u64(apps.size());
-        for (const auto &ctx : apps)
-            ctx->pageTable->saveState(w);
-        w.section(kSecMm);
-        manager->saveState(w);
-        w.section(kSecXlat);
-        translation.saveState(w);
-        w.section(kSecWalker);
-        walker.saveState(w);
-        w.section(kSecCache);
-        caches.saveState(w);
-        w.section(kSecDram);
-        dram.saveState(w);
-        w.section(kSecPcie);
-        pcie.saveState(w);
-        w.section(kSecPager);
-        pager.saveState(w);
-        w.section(kSecGpu);
-        gpu.saveState(w);
-        w.section(kSecRunner);
-        w.boolean(all_finished);
-        w.u64(end_cycle);
-        w.u64(peak_allocated);
-        w.u64(peak_holes);
-        w.u32(apps_remaining);
-        for (const auto &ctx : apps) {
-            w.u32(ctx->smsDone);
-            w.boolean(ctx->finished);
-            w.u64(ctx->finishAt);
-            w.u32(ctx->prefetchesPending);
-            w.u64(ctx->nextChurnVa);
-            const auto &bufs = ctx->layout->buffers();
-            w.u64(bufs.size());
-            for (const auto &buf : bufs)
-                w.u64(buf.va);
-        }
-        for (const std::uint64_t word : churn_rng.serializeState())
-            w.u64(word);
-    };
-
-    const auto load_all = [&](ckpt::Reader &r) {
-        r.section(kSecEngine, "engine");
-        const bool image_sharded = r.boolean();
-        if (r.ok() && image_sharded != (engine != nullptr)) {
-            r.fail("engine mode mismatch");
-            return;
-        }
-        if (engine != nullptr) {
-            engine->loadState(r);
-        } else {
-            EventQueue::Clock c;
-            c.now = r.u64();
-            c.nextSeq = r.u64();
-            c.executed = r.u64();
-            if (r.ok())
-                events.restoreClock(c);
-        }
-        r.section(kSecVm, "page tables");
-        pt_alloc.loadState(r);
-        const std::uint64_t n_apps = r.u64();
-        if (r.ok() && n_apps != apps.size()) {
-            r.fail("application count mismatch (workload changed?)");
-            return;
-        }
+    // Serializes every component in canonical section order. Saving
+    // only ever happens at a quiesce point: SMs paused, every queue
+    // drained (each component's serialize() asserts its own share of
+    // that contract), and crucially *before* the re-arm, so the
+    // captured event-queue clocks exclude the resume events -- the
+    // restore path re-creates them through the same rearm() call.
+    const auto serialize_all = [&](ckpt::Archive &ar) {
+        ar.section(kSecEngine, "engine");
+        ar.expect(engine != nullptr, "engine mode");
+        if (engine != nullptr)
+            ar.io(*engine);
+        else
+            ar.io(events);
+        ar.section(kSecVm, "page tables");
+        ar.io(pt_alloc);
+        ar.expect(apps.size(), "application count");
         // Page tables load before the manager and the TLBs: loading
         // fires the observer hooks that reseed the checker's shadow
         // translation map, and the TLB reload below replays its fills
         // against that shadow.
         for (const auto &ctx : apps) {
-            ctx->pageTable->loadState(r);
-            if (!r.ok())
+            ar.io(*ctx->pageTable);
+            if (!ar.ok())
                 return;
         }
-        r.section(kSecMm, "memory manager");
-        manager->loadState(r);
-        r.section(kSecXlat, "translation");
-        translation.loadState(r);
-        r.section(kSecWalker, "walker");
-        walker.loadState(r);
-        r.section(kSecCache, "caches");
-        caches.loadState(r);
-        r.section(kSecDram, "dram");
-        dram.loadState(r);
-        r.section(kSecPcie, "pcie");
-        pcie.loadState(r);
-        r.section(kSecPager, "pager");
-        pager.loadState(r);
-        r.section(kSecGpu, "gpu");
-        gpu.loadState(r);
-        r.section(kSecRunner, "runner");
-        all_finished = r.boolean();
-        end_cycle = r.u64();
-        peak_allocated = r.u64();
-        peak_holes = r.u64();
-        apps_remaining = r.u32();
+        ar.section(kSecMm, "memory manager");
+        ar.io(*manager);
+        ar.section(kSecXlat, "translation");
+        ar.io(translation);
+        ar.section(kSecWalker, "walker");
+        ar.io(walker);
+        ar.section(kSecCache, "caches");
+        ar.io(caches);
+        ar.section(kSecDram, "dram");
+        ar.io(dram);
+        ar.section(kSecPcie, "pcie");
+        ar.io(pcie);
+        ar.section(kSecPager, "pager");
+        ar.io(pager);
+        ar.section(kSecGpu, "gpu");
+        ar.io(gpu);
+        ar.section(kSecRunner, "runner");
+        ar.io(all_finished);
+        ar.io(end_cycle);
+        ar.io(peak_allocated);
+        ar.io(peak_holes);
+        ar.io(apps_remaining);
         for (const auto &ctx : apps) {
-            ctx->smsDone = r.u32();
-            ctx->finished = r.boolean();
-            ctx->finishAt = r.u64();
-            ctx->prefetchesPending = r.u32();
-            ctx->nextChurnVa = r.u64();
-            const std::uint64_t n_bufs = r.count(1u << 20, "buffer count");
-            if (!r.ok())
-                return;
-            if (n_bufs != ctx->layout->buffers().size()) {
-                r.fail("buffer count mismatch (workload changed?)");
-                return;
-            }
+            ar.io(ctx->smsDone);
+            ar.io(ctx->finished);
+            ar.io(ctx->finishAt);
+            ar.io(ctx->prefetchesPending);
+            ar.io(ctx->nextChurnVa);
             // Churn moves buffers to fresh virtual addresses; the
             // layout (and through it every warp stream) follows.
-            for (std::size_t b = 0; b < n_bufs; ++b) {
-                const Addr va = r.u64();
-                if (r.ok() && va != ctx->layout->buffers()[b].va)
+            const auto &bufs = ctx->layout->buffers();
+            ar.expect(bufs.size(), "buffer count");
+            for (std::size_t b = 0; b < bufs.size(); ++b) {
+                Addr va = bufs[b].va;
+                ar.io(va);
+                if (ar.loading() && va != bufs[b].va)
                     ctx->layout->rebaseBuffer(b, va);
             }
         }
-        std::array<std::uint64_t, 4> rng_words;
-        for (std::uint64_t &word : rng_words)
-            word = r.u64();
-        if (r.ok())
-            churn_rng.deserializeState(rng_words);
+        ar.io(churn_rng);
     };
 
     const auto write_checkpoint = [&](const std::string &path, Cycles R) {
         ckpt::Writer w;
-        save_all(w);
+        ckpt::Archive ar(w);
+        serialize_all(ar);
         ckpt::Header h;
         h.fingerprint = fingerprint;
         h.resumeCycle = R;
@@ -965,7 +891,7 @@ runSimulation(const Workload &workload, const SimConfig &config)
         gpu.resumeAll(R);
         if (config.churn.enabled) {
             events.schedule(R + config.churn.periodCycles,
-                            [churn_tick] { (*churn_tick)(); });
+                            [&churn_tick] { churn_tick(); });
         }
         if (config.metricsSamplePeriod > 0 && !all_finished) {
             events.schedule(R + config.metricsSamplePeriod,
@@ -1003,7 +929,8 @@ runSimulation(const Workload &workload, const SimConfig &config)
 
     if (restoring) {
         ckpt::Reader r(restore_payload);
-        load_all(r);
+        ckpt::Archive ar(r);
+        serialize_all(ar);
         if (r.ok() && !r.atEnd())
             r.fail("trailing bytes after payload");
         if (!r.ok())

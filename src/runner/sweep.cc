@@ -160,7 +160,7 @@ SweepRunner::stats()
     if (completed_ > 0)
         s.totalWallSeconds = double(lastCompleteNs_ - firstSubmitNs_) * 1e-9;
     if (s.totalWallSeconds > 0.0)
-        s.speedup = s.sumJobSeconds / s.totalWallSeconds;
+        s.parallelism = s.sumJobSeconds / s.totalWallSeconds;
     return s;
 }
 
@@ -174,7 +174,7 @@ toJson(const SweepStats &stats, const std::string &benchName)
     w.field("jobs", stats.jobs);
     w.field("totalWallSeconds", stats.totalWallSeconds);
     w.field("sumJobSeconds", stats.sumJobSeconds);
-    w.field("speedup", stats.speedup);
+    w.field("parallelism", stats.parallelism);
     w.key("perJob").beginArray();
     for (const SweepJobStats &job : stats.perJob) {
         w.beginObject();
@@ -203,9 +203,10 @@ appendSweepJson(SweepRunner &runner, const std::string &benchName,
     std::fclose(f);
     std::fprintf(stderr,
                  "sweep: %s ran %zu jobs on %u thread(s): "
-                 "%.2fs wall, %.2fs serial-equivalent (%.2fx)\n",
+                 "%.2fs wall, %.2fs serial-equivalent (parallelism %.2f)\n",
                  benchName.c_str(), stats.jobs, stats.threads,
-                 stats.totalWallSeconds, stats.sumJobSeconds, stats.speedup);
+                 stats.totalWallSeconds, stats.sumJobSeconds,
+                 stats.parallelism);
 }
 
 }  // namespace mosaic

@@ -55,8 +55,12 @@ struct SweepStats
     std::size_t jobs = 0;
     double totalWallSeconds = 0.0;  ///< first submit -> last completion
     double sumJobSeconds = 0.0;     ///< serial-equivalent work
-    /** sumJobSeconds / totalWallSeconds: effective parallelism. */
-    double speedup = 0.0;
+    /**
+     * sumJobSeconds / totalWallSeconds: the average number of jobs in
+     * flight. Not a speedup -- under time-slicing each job's wall time
+     * inflates, so this can exceed 1 while total wall time rises.
+     */
+    double parallelism = 0.0;
     std::vector<SweepJobStats> perJob;  ///< submission order
 };
 
@@ -192,7 +196,7 @@ mapOrdered(SweepRunner &runner, const std::vector<Item> &items, Fn fn)
  * (default BENCH_sweep.json), tagged with @p benchName. One line per
  * bench run keeps the file appendable and trivially machine-readable:
  *   {"bench":"fig09_heterogeneous","threads":8,"jobs":120,
- *    "totalWallSeconds":12.3,"sumJobSeconds":88.1,"speedup":7.2,
+ *    "totalWallSeconds":12.3,"sumJobSeconds":88.1,"parallelism":7.2,
  *    "perJob":[{"index":0,"label":"...","wallSeconds":0.7},...]}
  */
 void appendSweepJson(SweepRunner &runner, const std::string &benchName,

@@ -422,54 +422,25 @@ PageTable::walkPath(Addr va) const
 }
 
 void
-PageTable::saveNode(ckpt::Writer &w, const Node &node, unsigned depth) const
+PageTable::serializeNode(ckpt::Archive &ar, Node &node, unsigned depth,
+                         Addr vaPrefix)
 {
-    w.u64(node.physAddr);
-    if (depth == numLevels_ - 1) {
-        for (std::size_t j = 0; j < node.leafPhys.size(); ++j) {
-            w.u64(node.leafPhys[j]);
-            w.u8(static_cast<std::uint8_t>(
-                (node.leafDisabled[j] ? 1 : 0) |
-                (node.leafResident[j] ? 2 : 0)));
-        }
-        return;
-    }
-    const bool has_bits = !node.childCoalesced.empty();
-    for (std::size_t j = 0; j < node.children.size(); ++j) {
-        w.u8(static_cast<std::uint8_t>(
-            (node.children[j] != nullptr ? 1 : 0) |
-            (has_bits && node.childCoalesced[j] ? 2 : 0)));
-    }
-    for (const std::unique_ptr<Node> &child : node.children) {
-        if (child != nullptr)
-            saveNode(w, *child, depth + 1);
-    }
-}
-
-void
-PageTable::loadNode(ckpt::Reader &r, Node &node, unsigned depth,
-                    Addr vaPrefix)
-{
-    node.physAddr = r.u64();
+    ar.io(node.physAddr);
     const std::size_t fanout = std::size_t(mask_[depth]) + 1;
     if (depth == numLevels_ - 1) {
-        node.leafPhys.assign(fanout, kInvalidAddr);
-        node.leafDisabled.assign(fanout, false);
-        node.leafResident.assign(fanout, false);
+        if (ar.loading()) {
+            node.leafPhys.assign(fanout, kInvalidAddr);
+            node.leafDisabled.assign(fanout, false);
+            node.leafResident.assign(fanout, false);
+        }
         for (std::size_t j = 0; j < fanout; ++j) {
-            const Addr pa = r.u64();
-            const std::uint8_t flags = r.u8();
-            if (!r.ok())
-                return;
-            node.leafPhys[j] = pa;
-            node.leafDisabled[j] = (flags & 1) != 0;
-            node.leafResident[j] = (flags & 2) != 0;
-            if (pa != kInvalidAddr) {
+            ar.io(node.leafPhys[j]);
+            ar.flags(node.leafDisabled[j], node.leafResident[j]);
+            if (ar.loading() && node.leafPhys[j] != kInvalidAddr) {
                 ++mappedPages_;
                 if (observer_ != nullptr) {
-                    const Addr va =
-                        vaPrefix | (Addr(j) << shift_[depth]);
-                    observer_->onMap(app_, va, pa,
+                    const Addr va = vaPrefix | (Addr(j) << shift_[depth]);
+                    observer_->onMap(app_, va, node.leafPhys[j],
                                      node.leafResident[j]);
                 }
             }
@@ -477,36 +448,47 @@ PageTable::loadNode(ckpt::Reader &r, Node &node, unsigned depth,
         return;
     }
 
-    node.children.clear();
-    node.children.resize(fanout);
-    const bool has_bits = levelAtDepth_[depth] >= 1;
-    if (has_bits)
-        node.childCoalesced.assign(fanout, false);
-    std::vector<std::uint8_t> slot_flags(fanout, 0);
-    for (std::size_t j = 0; j < fanout; ++j)
-        slot_flags[j] = r.u8();
-    if (!r.ok())
+    if (ar.loading()) {
+        node.children.clear();
+        node.children.resize(fanout);
+        if (levelAtDepth_[depth] >= 1)
+            node.childCoalesced.assign(fanout, false);
+    }
+    const bool has_bits = !node.childCoalesced.empty();
+    // Slot flags (bit 0 = child present, bit 1 = coalesced) for the
+    // whole node first, then the present children depth-first.
+    std::vector<std::uint8_t> slot_flags(fanout);
+    for (std::size_t j = 0; j < fanout; ++j) {
+        slot_flags[j] = static_cast<std::uint8_t>(
+            (node.children[j] != nullptr ? 1 : 0) |
+            (has_bits && node.childCoalesced[j] ? 2 : 0));
+        ar.io(slot_flags[j]);
+    }
+    if (!ar.ok())
         return;
     for (std::size_t j = 0; j < fanout; ++j) {
-        if ((slot_flags[j] & 2) != 0) {
-            if (!has_bits) {
-                r.fail("coalesced bit at a depth without bits");
-                return;
+        if (ar.loading()) {
+            if ((slot_flags[j] & 2) != 0) {
+                if (!has_bits) {
+                    ar.fail("coalesced bit at a depth without bits");
+                    return;
+                }
+                node.childCoalesced[j] = true;
             }
-            node.childCoalesced[j] = true;
+            if ((slot_flags[j] & 1) != 0)
+                node.children[j] = std::make_unique<Node>();
         }
-        if ((slot_flags[j] & 1) != 0) {
-            node.children[j] = std::make_unique<Node>();
-            loadNode(r, *node.children[j], depth + 1,
-                     vaPrefix | (Addr(j) << shift_[depth]));
-            if (!r.ok())
+        if (node.children[j] != nullptr) {
+            serializeNode(ar, *node.children[j], depth + 1,
+                          vaPrefix | (Addr(j) << shift_[depth]));
+            if (!ar.ok())
                 return;
         }
     }
     // Fire the coalesce hooks only after the subtree beneath each bit
     // is fully loaded, so an observer that probes the table (the
     // invariant checker re-derives PAs) sees a consistent region.
-    if (observer_ != nullptr && has_bits) {
+    if (ar.loading() && observer_ != nullptr && has_bits) {
         const unsigned level = static_cast<unsigned>(levelAtDepth_[depth]);
         for (std::size_t j = 0; j < fanout; ++j) {
             if (!node.childCoalesced[j])
@@ -521,23 +503,19 @@ PageTable::loadNode(ckpt::Reader &r, Node &node, unsigned depth,
 }
 
 void
-PageTable::saveState(ckpt::Writer &w) const
+PageTable::serialize(ckpt::Archive &ar)
 {
-    w.u64(mappedPages_);
-    saveNode(w, *root_, 0);
-}
-
-void
-PageTable::loadState(ckpt::Reader &r)
-{
-    const std::uint64_t expect_pages = r.u64();
-    root_ = std::make_unique<Node>();
-    mappedPages_ = 0;
-    loadNode(r, *root_, 0, 0);
-    if (r.ok() && mappedPages_ != expect_pages)
-        r.fail("page-table mapped-page count mismatch (" +
-               std::to_string(mappedPages_) + " restored, " +
-               std::to_string(expect_pages) + " recorded)");
+    std::uint64_t recorded = mappedPages_;
+    ar.io(recorded);
+    if (ar.loading()) {
+        root_ = std::make_unique<Node>();
+        mappedPages_ = 0;
+    }
+    serializeNode(ar, *root_, 0, 0);
+    if (ar.ok() && mappedPages_ != recorded)
+        ar.fail("page-table mapped-page count mismatch (" +
+                std::to_string(mappedPages_) + " restored, " +
+                std::to_string(recorded) + " recorded)");
 }
 
 }  // namespace mosaic

@@ -106,22 +106,13 @@ class RegionPtNodeAllocator : public PtNodeAllocator
     /** Bytes consumed so far. */
     std::uint64_t bytesUsed() const { return used_; }
 
-    /** @name Checkpoint hooks: allocation cursor (DESIGN.md §14) */
-    ///@{
+    /** Checkpoint hook: allocation cursor (DESIGN.md §14). */
     void
-    saveState(ckpt::Writer &w) const
+    serialize(ckpt::Archive &ar)
     {
-        w.u64(next_);
-        w.u64(used_);
+        ar.io(next_);
+        ar.io(used_);
     }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        next_ = r.u64();
-        used_ = r.u64();
-    }
-    ///@}
 
   private:
     Addr next_;
@@ -266,21 +257,17 @@ class PageTable
     void setObserver(PageTableObserver *observer) { observer_ = observer; }
 
     /**
-     * @name Checkpoint hooks (DESIGN.md §14)
-     * saveState walks the radix tree depth-first in slot order and
-     * records every node's physical address, leaf PTE, and coalesced
-     * bit exactly — node placement comes from the shared
+     * Checkpoint hook (DESIGN.md §14). Walks the radix tree depth-first
+     * in slot order, recording every node's physical address, leaf PTE,
+     * and coalesced bit exactly — node placement comes from the shared
      * RegionPtNodeAllocator, whose cursor is checkpointed separately,
-     * so restored walkPath() addresses are bit-identical. loadState
-     * rebuilds the tree and fires the observer hooks (onMap,
-     * onResident via the resident flag, onCoalesce/onCoalesceLevel)
-     * for every restored entry so an attached invariant checker's
-     * shadow is reseeded in the same pass.
+     * so restored walkPath() addresses are bit-identical. Loading
+     * rebuilds the tree and fires the observer hooks (onMap, with the
+     * resident flag, and onCoalesce/onCoalesceLevel) for every restored
+     * entry so an attached invariant checker's shadow is reseeded in the
+     * same pass.
      */
-    ///@{
-    void saveState(ckpt::Writer &w) const;
-    void loadState(ckpt::Reader &r);
-    ///@}
+    void serialize(ckpt::Archive &ar);
 
   private:
     struct Node
@@ -305,10 +292,9 @@ class PageTable
         return static_cast<unsigned>((va >> shift_[depth]) & mask_[depth]);
     }
 
-    /** Checkpoint recursion bodies (depth-first, slot order). */
-    void saveNode(ckpt::Writer &w, const Node &node, unsigned depth) const;
-    void loadNode(ckpt::Reader &r, Node &node, unsigned depth,
-                  Addr vaPrefix);
+    /** Checkpoint recursion body (depth-first, slot order). */
+    void serializeNode(ckpt::Archive &ar, Node &node, unsigned depth,
+                       Addr vaPrefix);
 
     /** Leaf node covering @p va, or nullptr if absent. */
     Node *findLeafNode(Addr va) const;

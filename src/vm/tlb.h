@@ -386,54 +386,29 @@ class Tlb
     }
     ///@}
 
-    /** @name Checkpoint hooks (DESIGN.md §14) */
-    ///@{
+    /** Checkpoint hook (DESIGN.md §14). */
     void
-    saveState(ckpt::Writer &w) const
+    serialize(ckpt::Archive &ar)
     {
-        base_.saveState(w);
-        large_.saveState(w);
-        for (const SetAssocCache &mid : mid_)
-            mid.saveState(w);
-        if (colt_ != nullptr)
-            colt_->saveState(w);
-        w.u64(stats_.baseAccesses);
-        w.u64(stats_.baseHits);
-        w.u64(stats_.largeAccesses);
-        w.u64(stats_.largeHits);
-        for (unsigned i = 0; i < kMaxMidLevels; ++i) {
-            w.u64(stats_.midAccesses[i]);
-            w.u64(stats_.midHits[i]);
-        }
-        w.u64(stats_.coltAccesses);
-        w.u64(stats_.coltHits);
-        w.u64(stats_.coltFills);
-        w.u64(stats_.coltShootdowns);
-    }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        base_.loadState(r);
-        large_.loadState(r);
+        ar.io(base_);
+        ar.io(large_);
         for (SetAssocCache &mid : mid_)
-            mid.loadState(r);
+            ar.io(mid);
         if (colt_ != nullptr)
-            colt_->loadState(r);
-        stats_.baseAccesses = r.u64();
-        stats_.baseHits = r.u64();
-        stats_.largeAccesses = r.u64();
-        stats_.largeHits = r.u64();
+            ar.io(*colt_);
+        ar.io(stats_.baseAccesses);
+        ar.io(stats_.baseHits);
+        ar.io(stats_.largeAccesses);
+        ar.io(stats_.largeHits);
         for (unsigned i = 0; i < kMaxMidLevels; ++i) {
-            stats_.midAccesses[i] = r.u64();
-            stats_.midHits[i] = r.u64();
+            ar.io(stats_.midAccesses[i]);
+            ar.io(stats_.midHits[i]);
         }
-        stats_.coltAccesses = r.u64();
-        stats_.coltHits = r.u64();
-        stats_.coltFills = r.u64();
-        stats_.coltShootdowns = r.u64();
+        ar.io(stats_.coltAccesses);
+        ar.io(stats_.coltHits);
+        ar.io(stats_.coltFills);
+        ar.io(stats_.coltShootdowns);
     }
-    ///@}
 
   private:
     static constexpr unsigned kAppShift = 44;

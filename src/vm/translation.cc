@@ -610,91 +610,30 @@ TranslationService::shootdownBase(AppId app, Addr vaBase)
 }
 
 void
-TranslationService::saveState(ckpt::Writer &w) const
+TranslationService::serialize(ckpt::Archive &ar)
 {
-    const auto save_stats = [&w](const Stats &s) {
-        w.u64(s.requests);
-        w.u64(s.l1Hits);
-        w.u64(s.l2Hits);
-        w.u64(s.walksIssued);
-        w.u64(s.mshrMerges);
-        w.u64(s.faults);
-    };
-    for (const Tlb &tlb : l1_)
-        tlb.saveState(w);
-    l2_.saveState(w);
-    w.u64(l2NextIssueAt_);
-    w.u32(l2IssuesThisCycle_);
-    for (const MshrFile &mshr : mshrs_)
-        mshr.saveState(w);
-    save_stats(stats_);
-    for (const SmSlice &slice : slices_) {
-        MOSAIC_ASSERT(slice.pendingHooks.empty(),
-                      "checkpointing with deferred checker hooks pending");
-        save_stats(slice.stats);
-        w.u64(slice.app.size());
-        for (const AppStats &a : slice.app) {
-            w.u64(a.requests);
-            w.u64(a.l1Hits);
-            w.u64(a.l2Hits);
-            w.u64(a.walks);
-        }
-    }
-    w.u64(perApp_.size());
-    for (const PerApp &p : perApp_) {
-        w.u64(p.stats.requests);
-        w.u64(p.stats.l1Hits);
-        w.u64(p.stats.l2Hits);
-        w.u64(p.stats.walks);
-    }
-}
-
-void
-TranslationService::loadState(ckpt::Reader &r)
-{
-    const auto load_stats = [&r](Stats &s) {
-        s.requests = r.u64();
-        s.l1Hits = r.u64();
-        s.l2Hits = r.u64();
-        s.walksIssued = r.u64();
-        s.mshrMerges = r.u64();
-        s.faults = r.u64();
-    };
     for (Tlb &tlb : l1_)
-        tlb.loadState(r);
-    l2_.loadState(r);
-    l2NextIssueAt_ = r.u64();
-    l2IssuesThisCycle_ = r.u32();
+        ar.io(tlb);
+    ar.io(l2_);
+    ar.io(l2NextIssueAt_);
+    ar.io(l2IssuesThisCycle_);
     for (MshrFile &mshr : mshrs_)
-        mshr.loadState(r);
-    load_stats(stats_);
+        ar.io(mshr);
+    ar.io(stats_);
     for (SmSlice &slice : slices_) {
-        load_stats(slice.stats);
-        const std::uint64_t apps = r.count(1u << 20, "per-app stat slots");
-        if (!r.ok())
-            return;
-        slice.app.resize(static_cast<std::size_t>(apps));
-        for (AppStats &a : slice.app) {
-            a.requests = r.u64();
-            a.l1Hits = r.u64();
-            a.l2Hits = r.u64();
-            a.walks = r.u64();
-        }
+        MOSAIC_ASSERT(ar.loading() || slice.pendingHooks.empty(),
+                      "checkpointing with deferred checker hooks pending");
+        ar.io(slice.stats);
+        ar.io(slice.app, 1u << 20, "per-app stat slots");
     }
-    const std::uint64_t apps = r.count(1u << 20, "per-app hub slots");
-    if (!r.ok())
-        return;
     // Keep table pointers learned via registerApp; only stats restore.
+    const std::uint64_t apps =
+        ar.size(perApp_.size(), 1u << 20, "per-app hub slots");
     if (apps > perApp_.size())
         perApp_.resize(static_cast<std::size_t>(apps));
-    for (std::uint64_t i = 0; i < apps; ++i) {
-        PerApp &p = perApp_[static_cast<std::size_t>(i)];
-        p.stats.requests = r.u64();
-        p.stats.l1Hits = r.u64();
-        p.stats.l2Hits = r.u64();
-        p.stats.walks = r.u64();
-    }
-    if (!r.ok() || checker_ == nullptr)
+    for (std::uint64_t i = 0; i < apps; ++i)
+        ar.io(perApp_[static_cast<std::size_t>(i)].stats);
+    if (!ar.loading() || !ar.ok() || checker_ == nullptr)
         return;
 
     // Reseed the checker's TLB shadow by replaying a fill notification

@@ -80,6 +80,17 @@ class TranslationService
         std::uint64_t walksIssued = 0;
         std::uint64_t mshrMerges = 0;
         std::uint64_t faults = 0;
+
+        void
+        serialize(ckpt::Archive &ar)
+        {
+            ar.io(requests);
+            ar.io(l1Hits);
+            ar.io(l2Hits);
+            ar.io(walksIssued);
+            ar.io(mshrMerges);
+            ar.io(faults);
+        }
     };
 
     /** Per-address-space statistics (the paper's Fig. 10 analysis of
@@ -90,6 +101,15 @@ class TranslationService
         std::uint64_t l1Hits = 0;
         std::uint64_t l2Hits = 0;
         std::uint64_t walks = 0;
+
+        void
+        serialize(ckpt::Archive &ar)
+        {
+            ar.io(requests);
+            ar.io(l1Hits);
+            ar.io(l2Hits);
+            ar.io(walks);
+        }
     };
 
     /**
@@ -190,18 +210,15 @@ class TranslationService
     bool ideal() const { return config_.idealTlb; }
 
     /**
-     * @name Checkpoint hooks (DESIGN.md §14)
-     * Captures every TLB array slot-exactly plus the L2 port-contention
-     * state and all statistics slices. In-flight misses cannot exist at
-     * a quiesce point (the MSHRs assert emptiness). loadState replays a
-     * CheckSink fill notification for every restored TLB entry, so an
-     * attached checker re-derives its TLB shadow from the restored page
-     * tables — set the checker and load the page tables first.
+     * Checkpoint hook (DESIGN.md §14). Captures every TLB array
+     * slot-exactly plus the L2 port-contention state and all statistics
+     * slices. In-flight misses cannot exist at a quiesce point (the
+     * MSHRs assert emptiness). Loading replays a CheckSink fill
+     * notification for every restored TLB entry, so an attached checker
+     * re-derives its TLB shadow from the restored page tables — set the
+     * checker and load the page tables first.
      */
-    ///@{
-    void saveState(ckpt::Writer &w) const;
-    void loadState(ckpt::Reader &r);
-    ///@}
+    void serialize(ckpt::Archive &ar);
 
   private:
     /**

@@ -216,41 +216,20 @@ PageTableWalker::invalidatePwcForSplinter(const PageTable &pageTable,
 }
 
 void
-PageTableWalker::saveState(ckpt::Writer &w) const
+PageTableWalker::serialize(ckpt::Archive &ar)
 {
-    MOSAIC_ASSERT(active_ == 0 && queue_.empty(),
+    MOSAIC_ASSERT(ar.loading() || (active_ == 0 && queue_.empty()),
                   "checkpointing a walker with in-flight walks");
-    w.u64(stats_.walks);
-    w.u64(stats_.queued);
-    w.u64(stats_.faults);
-    w.u64(stats_.largeResults);
-    w.u64(stats_.pwcHits);
-    w.u64(stats_.pwcMisses);
-    saveHistogram(w, stats_.latency);
-    w.boolean(pwc_ != nullptr);
+    ar.io(stats_.walks);
+    ar.io(stats_.queued);
+    ar.io(stats_.faults);
+    ar.io(stats_.largeResults);
+    ar.io(stats_.pwcHits);
+    ar.io(stats_.pwcMisses);
+    ar.io(stats_.latency);
+    ar.expect(pwc_ != nullptr, "page-walk cache presence");
     if (pwc_ != nullptr)
-        pwc_->saveState(w);
-}
-
-void
-PageTableWalker::loadState(ckpt::Reader &r)
-{
-    stats_.walks = r.u64();
-    stats_.queued = r.u64();
-    stats_.faults = r.u64();
-    stats_.largeResults = r.u64();
-    stats_.pwcHits = r.u64();
-    stats_.pwcMisses = r.u64();
-    loadHistogram(r, stats_.latency);
-    if (!r.ok())
-        return;
-    const bool had_pwc = r.boolean();
-    if (had_pwc != (pwc_ != nullptr)) {
-        r.fail("page-walk cache presence mismatch");
-        return;
-    }
-    if (pwc_ != nullptr)
-        pwc_->loadState(r);
+        ar.io(*pwc_);
 }
 
 }  // namespace mosaic

@@ -121,15 +121,12 @@ class PageTableWalker
     const Stats &stats() const { return stats_; }
 
     /**
-     * @name Checkpoint hooks (DESIGN.md §14)
-     * A quiesce point drains all in-flight walks (asserted), so only the
-     * statistics and the PWC contents need to cross a checkpoint; the
-     * walk pool and free list are payload-only and rebuild lazily.
+     * Checkpoint hook (DESIGN.md §14). A quiesce point drains all
+     * in-flight walks (asserted), so only the statistics and the PWC
+     * contents need to cross a checkpoint; the walk pool and free list
+     * are payload-only and rebuild lazily.
      */
-    ///@{
-    void saveState(ckpt::Writer &w) const;
-    void loadState(ckpt::Reader &r);
-    ///@}
+    void serialize(ckpt::Archive &ar);
 
   private:
     /** One pooled walk record; per-level continuations point at it. */

@@ -14,7 +14,6 @@
 #ifndef MOSAIC_WORKLOAD_ACCESS_PATTERN_H
 #define MOSAIC_WORKLOAD_ACCESS_PATTERN_H
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -95,25 +94,12 @@ class SyntheticWarpStream : public WarpStream
     bool next(WarpInstr &out) override;
 
     void
-    saveState(ckpt::Writer &w) const override
+    serialize(ckpt::Archive &ar) override
     {
-        for (std::uint64_t word : rng_.serializeState())
-            w.u64(word);
-        w.u64(cursor_);
-        w.u64(issued_);
-        w.u32(computeLeft_);
-    }
-
-    void
-    loadState(ckpt::Reader &r) override
-    {
-        std::array<std::uint64_t, 4> words;
-        for (std::uint64_t &word : words)
-            word = r.u64();
-        rng_.deserializeState(words);
-        cursor_ = r.u64();
-        issued_ = r.u64();
-        computeLeft_ = r.u32();
+        ar.io(rng_);
+        ar.io(cursor_);
+        ar.io(issued_);
+        ar.io(computeLeft_);
     }
 
   private:

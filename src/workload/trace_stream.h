@@ -83,13 +83,7 @@ class TraceWarpStream : public WarpStream
         return true;
     }
 
-    void saveState(ckpt::Writer &w) const override { w.u64(cursor_); }
-
-    void
-    loadState(ckpt::Reader &r) override
-    {
-        cursor_ = static_cast<std::size_t>(r.u64());
-    }
+    void serialize(ckpt::Archive &ar) override { ar.io(cursor_); }
 
   private:
     std::shared_ptr<const TraceFile> trace_;

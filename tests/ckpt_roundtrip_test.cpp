@@ -17,6 +17,8 @@
  *    or from the first checkpoint;
  *  - checkpoint bytes must be worker-count invariant for the sharded
  *    engine (the quiesce point R is a pure function of queue state);
+ *  - the image bytes of twelve pinned cells must match the size and
+ *    digest records in tests/golden/ckpt_images.txt;
  *  - the invariant checker must find a clean system after restore;
  *  - a checkpoint at cycle 0 of a prefetching (no-demand-paging) run is
  *    a functional fast-forward seed: it captures the fully-prefetched
@@ -28,11 +30,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "ckpt/checkpoint.h"
 #include "common/page_sizes.h"
 #include "runner/json_report.h"
 #include "runner/simulation.h"
@@ -191,6 +195,60 @@ TEST(CkptRoundTripTest, ShardedTridentColt)
                                 "_tri_" + cell.name);
         }
     }
+}
+
+/**
+ * Image-format golden: the size and FNV-1a digest of the checkpoint
+ * image of every manager x {serial, sharded N=2} x {default pair,
+ * Trident+CoLT} cell at its mid cycle, one record per line. Any change
+ * to what or how the components serialize moves a digest; refactors of
+ * the serialization code must leave every record untouched.
+ *
+ * Regenerating (only for an intentional image-format change):
+ *   MOSAIC_UPDATE_GOLDEN=1 ./build/tests/ckpt_roundtrip_test \
+ *       --gtest_filter='*ImageDigestsMatchGolden*'
+ */
+TEST(CkptRoundTripTest, ImageDigestsMatchGolden)
+{
+    std::string records;
+    for (const Cell &cell : managerCells()) {
+        for (const bool tri : {false, true}) {
+            const SimConfig hier =
+                tri ? cell.config.withSizeHierarchy(tridentSizes(),
+                                                    /*colt=*/true)
+                    : cell.config;
+            for (const unsigned n : {0u, 2u}) {
+                const SimConfig base =
+                    n == 0 ? hier : hier.withEngineShards(n);
+                const std::string name =
+                    std::string(n == 0 ? "serial" : "sh2") +
+                    (tri ? "_tri_" : "_") + cell.name;
+                const std::string path = tempPath("golden_" + name);
+                snapshot(base.withCheckpointAt(midCycle(base), path));
+                const std::string bytes = readBytes(path);
+                std::remove(path.c_str());
+                char line[128];
+                std::snprintf(line, sizeof(line), "%s %zu %016llx\n",
+                              name.c_str(), bytes.size(),
+                              static_cast<unsigned long long>(
+                                  ckpt::fnv1a(bytes)));
+                records += line;
+            }
+        }
+    }
+
+    const std::string path =
+        std::string(MOSAIC_GOLDEN_DIR) + "/ckpt_images.txt";
+    if (std::getenv("MOSAIC_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
+        out << records;
+        std::printf("golden updated: %s\n", path.c_str());
+        return;
+    }
+    const std::string golden = readBytes(path);
+    EXPECT_EQ(golden, records)
+        << "checkpoint image digests diverged from " << path;
 }
 
 /** save -> restore -> save reproduces the file byte for byte. */

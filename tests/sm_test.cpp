@@ -31,8 +31,7 @@ class ScriptedStream : public WarpStream
         return true;
     }
 
-    void saveState(ckpt::Writer &) const override {}
-    void loadState(ckpt::Reader &) override {}
+    void serialize(ckpt::Archive &) override {}
 
   private:
     std::deque<WarpInstr> script_;

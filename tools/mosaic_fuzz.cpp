@@ -228,66 +228,29 @@ struct FuzzSystem
         }
     }
 
-    /** Serializes the quiesced system (canonical component order). */
+    /** Serializes the quiesced system (canonical component order);
+     *  loading expects a freshly constructed system. */
     void
-    saveState(ckpt::Writer &w)
+    serialize(ckpt::Archive &ar)
     {
-        w.boolean(engine != nullptr);
-        if (engine != nullptr) {
-            engine->saveState(w);
-        } else {
-            const EventQueue::Clock c = serialEvents.saveClock();
-            w.u64(c.now);
-            w.u64(c.nextSeq);
-            w.u64(c.executed);
-        }
-        ptAlloc->saveState(w);
-        w.u64(tables.size());
-        for (const auto &t : tables)
-            t->saveState(w);
-        manager->saveState(w);
-        translation->saveState(w);
-        walker->saveState(w);
-        caches->saveState(w);
-        dram->saveState(w);
-    }
-
-    /** Mirror of saveState() into a freshly constructed system. */
-    void
-    loadState(ckpt::Reader &r)
-    {
-        const bool sharded = r.boolean();
-        if (r.ok() && sharded != (engine != nullptr)) {
-            r.fail("engine mode mismatch");
-            return;
-        }
-        if (engine != nullptr) {
-            engine->loadState(r);
-        } else {
-            EventQueue::Clock c;
-            c.now = r.u64();
-            c.nextSeq = r.u64();
-            c.executed = r.u64();
-            if (r.ok())
-                serialEvents.restoreClock(c);
-        }
-        ptAlloc->loadState(r);
-        const std::uint64_t n = r.u64();
-        if (r.ok() && n != tables.size()) {
-            r.fail("page-table count mismatch");
-            return;
-        }
+        ar.expect(engine != nullptr, "engine mode");
+        if (engine != nullptr)
+            ar.io(*engine);
+        else
+            ar.io(serialEvents);
+        ar.io(*ptAlloc);
+        ar.expect(tables.size(), "page-table count");
         for (const auto &t : tables) {
-            t->loadState(r);
-            if (!r.ok())
+            ar.io(*t);
+            if (!ar.ok())
                 return;
         }
-        manager->loadState(r);
-        translation->loadState(r);
-        walker->loadState(r);
-        caches->loadState(r);
-        dram->loadState(r);
-        if (r.ok())
+        ar.io(*manager);
+        ar.io(*translation);
+        ar.io(*walker);
+        ar.io(*caches);
+        ar.io(*dram);
+        if (ar.loading() && ar.ok())
             checker.seedAuditedViolations(
                 manager->stats().softGuaranteeViolations);
     }
@@ -399,10 +362,12 @@ runSchedule(const FuzzConfig &cfg, unsigned shards = 0,
             // twin: any state the serializer loses shows up as a
             // checker violation (or a divergent verdict) downstream.
             ckpt::Writer w;
-            sys->saveState(w);
+            ckpt::Archive save(w);
+            sys->serialize(save);
             auto fresh = std::make_unique<FuzzSystem>(cfg, shards);
             ckpt::Reader r(w.buffer());
-            fresh->loadState(r);
+            ckpt::Archive load(r);
+            fresh->serialize(load);
             std::string err;
             if (!r.ok()) {
                 err = "checkpoint round-trip: " + r.error();
@@ -410,7 +375,8 @@ runSchedule(const FuzzConfig &cfg, unsigned shards = 0,
                 err = "checkpoint round-trip: trailing bytes";
             } else {
                 ckpt::Writer w2;
-                fresh->saveState(w2);
+                ckpt::Archive resave(w2);
+                fresh->serialize(resave);
                 if (w2.buffer() != w.buffer())
                     err = "checkpoint round-trip: save->restore->save "
                           "bytes differ";
