@@ -4,8 +4,9 @@
  * fig09-style heterogeneous cell at worker counts {serial, 1, 2, 4, 8}.
  *
  * Emits BENCH_shard.json: one record per worker count with wall
- * seconds, simulated cycles, simulated cycles per wall second, and the
- * speedup over the serial engine. The result snapshots are checked for
+ * seconds, simulated cycles, simulated cycles per wall second, the
+ * speedup over the serial engine, and the engine self-profile
+ * (including how many phases ran on the worker pool vs inline). The result snapshots are checked for
  * worker-count invariance while measuring, so the numbers can never
  * come from a run that silently diverged.
  *
@@ -122,15 +123,19 @@ main(int argc, char **argv)
            "io-compression=16 mosaic\",\n"
         << "  \"host_cores\": " << host_cores << ",\n"
         << "  \"note\": \"speedup_vs_serial is only meaningful when "
-           "host_cores >= shards; on fewer cores the epoch-synchronized "
-           "engine pays barrier costs with no parallel SM phase to "
-           "amortize them\",\n"
+           "host_cores >= shards; on fewer cores the pool parks between "
+           "phases and every pooled phase pays kernel wake-ups. "
+           "pooled_phases counts the SM and sub phases whose busy lanes "
+           "spanned two or more threads; the rest ran inline on the "
+           "coordinator\",\n"
         << "  \"runs\": [\n";
     // Each sharded run carries its engine self-profile (DESIGN.md §12):
     // hub occupancy answers "is the hub the bottleneck?" from the
     // simulated side; worker utilization / barrier-wait share answer it
-    // from the wall-clock side on this host.
-    char buf[512];
+    // from the wall-clock side on this host, and the pooled/inline
+    // phase counts say how often a phase had lanes for more than one
+    // thread at all.
+    char buf[640];
     for (std::size_t i = 0; i < samples.size(); ++i) {
         const Sample &s = samples[i];
         // Per-DRAM-channel sub-lane occupancy (hub sub-lanes, DESIGN.md
@@ -152,7 +157,9 @@ main(int argc, char **argv)
                       "\"hub_occupancy\": %.4f, "
                       "\"sub_occupancy\": %s, "
                       "\"worker_utilization\": %.4f, "
-                      "\"barrier_wait_share\": %.4f}%s\n",
+                      "\"barrier_wait_share\": %.4f, "
+                      "\"pooled_phases\": %llu, "
+                      "\"inline_phases\": %llu}%s\n",
                       s.shards, s.wallSeconds,
                       static_cast<unsigned long long>(s.simCycles),
                       double(s.simCycles) / s.wallSeconds,
@@ -160,6 +167,10 @@ main(int argc, char **argv)
                       subs.c_str(),
                       s.profile.workerUtilization,
                       s.profile.barrierWaitShare,
+                      static_cast<unsigned long long>(
+                          s.profile.pooledPhases),
+                      static_cast<unsigned long long>(
+                          s.profile.inlinePhases),
                       i + 1 < samples.size() ? "," : "");
         out << buf;
     }

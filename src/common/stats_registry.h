@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -350,10 +351,24 @@ class StatsRegistry
         Sink sink(snap.values);
         for (const Provider &p : providers_)
             p(sink);
-        std::sort(snap.values.begin(), snap.values.end(),
-                  [](const MetricValue &a, const MetricValue &b) {
-                      return a.key() < b.key();
+        // Render every key once, then sort positions by it: the same
+        // comparison outcomes as comparing key() pairs, hence the same
+        // permutation, without two string builds per comparison.
+        std::vector<std::string> keys;
+        keys.reserve(snap.values.size());
+        for (const MetricValue &v : snap.values)
+            keys.push_back(v.key());
+        std::vector<std::uint32_t> order(snap.values.size());
+        std::iota(order.begin(), order.end(), 0u);
+        std::sort(order.begin(), order.end(),
+                  [&keys](std::uint32_t a, std::uint32_t b) {
+                      return keys[a] < keys[b];
                   });
+        std::vector<MetricValue> sorted;
+        sorted.reserve(order.size());
+        for (const std::uint32_t i : order)
+            sorted.push_back(std::move(snap.values[i]));
+        snap.values = std::move(sorted);
         return snap;
     }
 

@@ -64,7 +64,16 @@ struct EngineShardProfile
     std::vector<double> subOccupancy;
 
     // --- wall-clock (host-dependent; bench-only) ---------------------
-    std::uint64_t workers = 0;     ///< threads used, incl. coordinator
+    std::uint64_t workers = 0;     ///< configured pool, incl. coordinator
+    /**
+     * Parallel phases (SM and sub) handed to the worker pool, and those
+     * run on the coordinator because every lane with an event due
+     * belonged to one thread (fewer than two such lanes, or workers ==
+     * 1). They sum to the phases run, but the split depends on the
+     * worker count, so neither is in the snapshot.
+     */
+    std::uint64_t pooledPhases = 0;
+    std::uint64_t inlinePhases = 0;
     double wallSmPhaseSec = 0.0;   ///< total SM-phase wall time
     double wallHubSec = 0.0;       ///< total control-phase wall time
     double wallSubPhaseSec = 0.0;  ///< total sub-phase wall time

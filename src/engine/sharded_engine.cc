@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <thread>
 
 #include "common/log.h"
 #include "common/stats_registry.h"
@@ -21,26 +22,90 @@ elapsedNs(std::chrono::steady_clock::time_point from,
     return std::chrono::duration<double, std::nano>(to - from).count();
 }
 
+/**
+ * How long a handoff wait polls before it parks. A phase's lane work
+ * and the serial steps between two phases take a few microseconds, so
+ * a waiter that is still spinning when its turn comes skips the two
+ * kernel round trips of a park and a wake-up.
+ */
+constexpr std::chrono::microseconds kSpinBudget{50};
+/** Polls with a pause before the waiter starts yielding its core. */
+constexpr unsigned kPauseSpins = 32;
+
+/** Spin-loop hint: lets the sibling hyperthread run while polling. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/**
+ * Blocks until @p word no longer holds @p old and returns the value it
+ * saw, with acquire ordering. With @p spin it polls for kSpinBudget
+ * first -- kPauseSpins pauses, then yields -- and parks in
+ * std::atomic::wait only once the budget is spent.
+ */
+unsigned
+awaitChange(const std::atomic<unsigned> &word, unsigned old, bool spin)
+{
+    if (spin) {
+        const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+        for (unsigned i = 0;; ++i) {
+            const unsigned v = word.load(std::memory_order_acquire);
+            if (v != old)
+                return v;
+            if (i < kPauseSpins) {
+                cpuRelax();
+                continue;
+            }
+            if (std::chrono::steady_clock::now() >= deadline)
+                break;
+            std::this_thread::yield();
+        }
+    }
+    word.wait(old, std::memory_order_acquire);
+    return word.load(std::memory_order_acquire);
+}
+
+/**
+ * Runs a busy lane -- one with an event due by @p limit -- and books the
+ * window as busy for the self-profiler. Such a lane always dispatches,
+ * so this equals comparing executed() across the window, and running
+ * on the lane's own thread keeps its counters off the coordinator.
+ */
+template <typename LaneT>
+void
+runBusyLane(LaneT &lane, Cycles limit)
+{
+    lane.queue.runUntil(limit);
+    ++lane.busyWindows;
+    lane.lastExecuted = lane.queue.executed();
+}
+
 }  // namespace
 
 ShardedEngine::ShardedEngine(unsigned numSms, unsigned workers)
-    : lanes_(numSms)
+    : lanes_(numSms),
+      workers_(std::max(1u, std::min(workers, numSms))),
+      // Spinning only pays when every pool thread has a core of its
+      // own; an oversubscribed pool parks at once.
+      spin_(workers_ <= std::thread::hardware_concurrency())
 {
     MOSAIC_ASSERT(numSms > 0, "sharded engine needs at least one SM lane");
-    unsigned n = std::max(1u, std::min(workers, numSms));
-    workerBusyNs_.assign(n, 0.0);
-    threads_.reserve(n - 1);
-    for (unsigned i = 0; i + 1 < n; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i + 1); });
+    workerBusyNs_.assign(workers_, 0.0);
 }
 
 ShardedEngine::~ShardedEngine()
 {
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        stop_ = true;
-    }
-    cv_.notify_all();
+    if (threads_.empty())
+        return;
+    stop_ = true;
+    epochGen_.fetch_add(1, std::memory_order_release);
+    epochGen_.notify_all();
     for (auto &t : threads_)
         t.join();
 }
@@ -245,6 +310,8 @@ ShardedEngine::profile() const
                                static_cast<double>(epochs_));
     }
     p.workers = workers();
+    p.pooledPhases = pooledPhases_;
+    p.inlinePhases = inlinePhases_;
     p.wallSmPhaseSec = wallSmPhaseNs_ * 1e-9;
     p.wallHubSec = wallHubNs_ * 1e-9;
     p.wallSubPhaseSec = wallSubPhaseNs_ * 1e-9;
@@ -349,29 +416,22 @@ ShardedEngine::runEpoch()
     for (auto &hook : barrierHooks_)
         hook();
 
-    // Self-profiler, SM side: outbox traffic and window occupancy.
-    // Coordinator-only, workers parked; deltas of per-lane executed()
-    // counts are pure simulation figures.
-    for (Lane &lane : lanes_) {
-        lane.outMsgs += lane.outbox.size();
-        const std::uint64_t executed = lane.queue.executed();
-        if (executed != lane.lastExecuted) {
-            ++lane.busyWindows;
-            lane.lastExecuted = executed;
-        }
-    }
-
     // 3. Exchange: merge outboxes into the target queues in canonical
     //    (cycle, source lane, source sequence) order. Each queue's own
     //    (when, seq) tie-break then preserves exactly this order,
     //    whatever thread produced each message. Targets: the hub
     //    (control) queue, or -- with sub-lanes enabled -- a hub
     //    sub-lane (L2/DRAM requests routed straight to their channel).
+    //    Only non-empty outboxes are written here, so a lane that sent
+    //    nothing keeps its cache lines on the thread that runs it.
     mergeScratch_.clear();
     for (std::uint32_t l = 0; l < lanes_.size(); ++l) {
-        const auto &outbox = lanes_[l].outbox;
-        for (std::uint32_t i = 0; i < outbox.size(); ++i)
-            mergeScratch_.push_back(MergeKey{outbox[i].when, l, i});
+        Lane &lane = lanes_[l];
+        if (lane.outbox.empty())
+            continue;
+        lane.outMsgs += lane.outbox.size();
+        for (std::uint32_t i = 0; i < lane.outbox.size(); ++i)
+            mergeScratch_.push_back(MergeKey{lane.outbox[i].when, l, i});
     }
     std::sort(mergeScratch_.begin(), mergeScratch_.end(),
               [](const MergeKey &a, const MergeKey &b) {
@@ -391,7 +451,8 @@ ShardedEngine::runEpoch()
                 msg.when, std::move(msg.fn));
     }
     for (Lane &lane : lanes_)
-        lane.outbox.clear();
+        if (!lane.outbox.empty())
+            lane.outbox.clear();
 
     // 4. Control phase: the remaining shared components (L2 TLB,
     //    walker, managers, pager) run the same window serially. It runs
@@ -432,14 +493,6 @@ ShardedEngine::runEpoch()
         t4 = std::chrono::steady_clock::now();
         parallelPhase(windowEnd - 1, /*subPhase=*/true);
         t5 = std::chrono::steady_clock::now();
-        for (SubLane &sub : subs_) {
-            sub.outMsgs += sub.outbox.size();
-            const std::uint64_t executed = sub.queue.executed();
-            if (executed != sub.lastExecuted) {
-                ++sub.busyWindows;
-                sub.lastExecuted = executed;
-            }
-        }
         exchangeSubOutboxes(windowEnd);
     }
 
@@ -491,10 +544,13 @@ ShardedEngine::exchangeSubOutboxes(Cycles windowEnd)
     // a pure function of the simulation, never of worker scheduling.
     mergeScratch_.clear();
     for (std::uint32_t s = 0; s < subs_.size(); ++s) {
-        const auto &outbox = subs_[s].outbox;
-        for (std::uint32_t i = 0; i < outbox.size(); ++i)
+        SubLane &sub = subs_[s];
+        if (sub.outbox.empty())
+            continue;
+        sub.outMsgs += sub.outbox.size();
+        for (std::uint32_t i = 0; i < sub.outbox.size(); ++i)
             mergeScratch_.push_back(
-                MergeKey{std::max(outbox[i].when, windowEnd), s, i});
+                MergeKey{std::max(sub.outbox[i].when, windowEnd), s, i});
     }
     std::sort(mergeScratch_.begin(), mergeScratch_.end(),
               [](const MergeKey &a, const MergeKey &b) {
@@ -517,79 +573,100 @@ ShardedEngine::exchangeSubOutboxes(Cycles windowEnd)
                 .queue.schedule(key.when, std::move(msg.fn));
     }
     for (SubLane &sub : subs_)
-        sub.outbox.clear();
+        if (!sub.outbox.empty())
+            sub.outbox.clear();
 }
 
 void
 ShardedEngine::parallelPhase(Cycles limit, bool subPhase)
 {
-    if (threads_.empty()) {
-        laneCursor_.store(0, std::memory_order_relaxed);
+    // Busy-lane dispatch: only lanes with an event due in the window
+    // run. runUntil on any other lane just advances its clock, so the
+    // coordinator does that here and every queue clock -- hence every
+    // snapshot and checkpoint image -- matches a full dispatch.
+    busyLanes_.clear();
+    bool spread = false;  // busy lanes owned by two or more threads
+    const auto n = static_cast<unsigned>(subPhase ? subs_.size()
+                                                  : lanes_.size());
+    for (unsigned i = 0; i < n; ++i) {
+        EventQueue &queue = subPhase ? subs_[i].queue : lanes_[i].queue;
+        if (queue.nextEventAt() > limit) {
+            queue.runUntil(limit);
+            continue;
+        }
+        spread = spread ||
+                 (!busyLanes_.empty() &&
+                  i % workers_ != busyLanes_.front() % workers_);
+        busyLanes_.push_back(i);
+    }
+    laneLimit_ = limit;
+    phaseIsSub_ = subPhase;
+
+    // With one owner there is nothing to overlap: run the lanes here
+    // rather than pay a handoff. This covers every phase at N = 1 and
+    // every phase with fewer than two busy lanes.
+    if (!spread) {
+        ++inlinePhases_;
         const auto t0 = std::chrono::steady_clock::now();
-        runLanes(limit, subPhase);
+        runLanes(0, 1);
         workerBusyNs_[0] += elapsedNs(t0, std::chrono::steady_clock::now());
         return;
     }
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        laneCursor_.store(0, std::memory_order_relaxed);
-        laneLimit_ = limit;
-        phaseIsSub_ = subPhase;
-        pendingWorkers_ = static_cast<unsigned>(threads_.size());
-        ++epochGen_;
-    }
-    cv_.notify_all();
+
+    ++pooledPhases_;
+    if (threads_.empty())
+        startWorkers();
+    pending_.store(static_cast<unsigned>(threads_.size()),
+                   std::memory_order_relaxed);
+    // Release: publishes the phase fields above to the workers.
+    epochGen_.fetch_add(1, std::memory_order_release);
+    epochGen_.notify_all();
     const auto t0 = std::chrono::steady_clock::now();
-    runLanes(limit, subPhase);
+    runLanes(0, workers_);
     workerBusyNs_[0] += elapsedNs(t0, std::chrono::steady_clock::now());
-    std::unique_lock<std::mutex> lk(m_);
-    cvDone_.wait(lk, [this] { return pendingWorkers_ == 0; });
+    for (unsigned left = pending_.load(std::memory_order_acquire); left != 0;)
+        left = awaitChange(pending_, left, spin_);
 }
 
 void
-ShardedEngine::runLanes(Cycles limit, bool subPhase)
+ShardedEngine::runLanes(unsigned worker, unsigned stride)
 {
-    const unsigned n = static_cast<unsigned>(subPhase ? subs_.size()
-                                                      : lanes_.size());
-    for (;;) {
-        unsigned i = laneCursor_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n)
-            return;
-        if (subPhase)
-            subs_[i].queue.runUntil(limit);
+    for (const std::uint32_t i : busyLanes_) {
+        if (i % stride != worker)
+            continue;
+        if (phaseIsSub_)
+            runBusyLane(subs_[i], laneLimit_);
         else
-            lanes_[i].queue.runUntil(limit);
+            runBusyLane(lanes_[i], laneLimit_);
     }
 }
 
 void
-ShardedEngine::workerLoop(unsigned worker)
+ShardedEngine::startWorkers()
 {
-    std::uint64_t seen = 0;
+    const unsigned gen = epochGen_.load(std::memory_order_relaxed);
+    threads_.reserve(workers_ - 1);
+    for (unsigned w = 1; w < workers_; ++w)
+        threads_.emplace_back([this, w, gen] { workerLoop(w, gen); });
+}
+
+void
+ShardedEngine::workerLoop(unsigned worker, unsigned seenGen)
+{
     for (;;) {
-        Cycles limit;
-        bool subPhase;
-        {
-            std::unique_lock<std::mutex> lk(m_);
-            cv_.wait(lk, [&] { return epochGen_ != seen || stop_; });
-            if (stop_)
-                return;
-            seen = epochGen_;
-            limit = laneLimit_;
-            subPhase = phaseIsSub_;
-        }
+        // Each generation is one phase; the coordinator publishes the
+        // next only after this worker's decrement, so none is skipped.
+        seenGen = awaitChange(epochGen_, seenGen, spin_);
+        if (stop_)
+            return;
         const auto t0 = std::chrono::steady_clock::now();
-        runLanes(limit, subPhase);
-        // Written before taking m_; the coordinator only reads this
-        // slot after the cvDone_ wait on m_, so the lock chain orders
-        // the access (no atomics needed, TSan-clean).
+        runLanes(worker, workers_);
         workerBusyNs_[worker] +=
             elapsedNs(t0, std::chrono::steady_clock::now());
-        {
-            std::lock_guard<std::mutex> lk(m_);
-            if (--pendingWorkers_ == 0)
-                cvDone_.notify_one();
-        }
+        // Release: the lanes this worker ran and its busy-time slot are
+        // visible to the coordinator once it acquires zero.
+        if (pending_.fetch_sub(1, std::memory_order_release) == 1)
+            pending_.notify_one();
     }
 }
 

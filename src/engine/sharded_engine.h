@@ -6,9 +6,11 @@
  * lane (DESIGN.md §12). Each lane owns a private EventQueue. Time
  * advances in fixed conservative windows of kWindowCycles:
  *
- *   1. SM phase    — all SM lanes run [T, T+W) concurrently on a worker
- *                    pool. Cross-lane sends are appended to per-lane
- *                    outboxes, never delivered directly.
+ *   1. SM phase    — the SM lanes with an event due run [T, T+W)
+ *                    concurrently on a worker pool; the idle lanes only
+ *                    have their clocks advanced. Cross-lane sends are
+ *                    appended to per-lane outboxes, never delivered
+ *                    directly.
  *   2. barrier     — hooks run (deferred checker notifications, epoch
  *                    invariant sweeps).
  *   3. exchange    — SM->hub messages merge into the hub queue in
@@ -46,12 +48,28 @@
  * barrier. The worker count N therefore changes wall-clock time only;
  * results for N in {1, 2, 4, 8, ...} are byte-identical.
  *
- * Thread-safety: lanes hand between threads exclusively through the
- * epoch mutex (publish epoch -> workers run disjoint lanes -> ack under
- * the same mutex), so every lane access is ordered by a lock
- * acquisition chain and the engine is clean under TSan. The hub phase
- * and all barrier hooks run on the coordinating thread while workers
- * are parked, so hub code may touch SM-side state directly (TLB
+ * Parallel phases: lane i of a phase always runs on thread i % N (the
+ * coordinator is thread 0), so a lane's queue and component state stay
+ * in one core's cache from epoch to epoch. Only *busy* lanes -- those
+ * with an event due in the window -- are run; the coordinator advances
+ * the others' clocks itself. A phase whose busy lanes all belong to one
+ * thread (every phase at N = 1, and any phase with fewer than two busy
+ * lanes) runs on the coordinator, and the worker threads start at the
+ * first phase that needs them.
+ *
+ * Thread-safety: a parallel phase hands lanes to the workers through
+ * two atomics. The coordinator writes the phase (window limit, lane
+ * set, busy-lane list) and then bumps the epoch generation with a
+ * release; a worker acquires the new generation before it reads the
+ * phase. Each worker counts the pending count down with a release once
+ * its lanes are done, and the coordinator acquires zero before it
+ * touches any lane again. Every lane access is therefore ordered by a
+ * release/acquire pair, and the engine is clean under TSan. Both sides
+ * spin for a short budget before parking in std::atomic::wait, so a
+ * handoff usually costs no kernel wake-up; a pool larger than the
+ * host's core count parks at once instead of spinning. The control
+ * phase and all barrier hooks run on the coordinating thread while the
+ * workers wait, so hub code may touch SM-side state directly (TLB
  * shootdowns, stallAll) without data races.
  */
 
@@ -59,10 +77,8 @@
 #define MOSAIC_ENGINE_SHARDED_ENGINE_H
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -85,7 +101,8 @@ class ShardedEngine final : public LaneRouter, public HubSubLanes
      * Conservative lookahead window, in cycles. Must not exceed the
      * minimum cross-lane latency (the 8-cycle SM<->L2 interconnect
      * hop; see CacheHierarchy::Config::interconnectCycles and the L1
-     * TLB miss latency in TlbConfig).
+     * TLB miss latency in TlbConfig). runSimulation refuses a sharded
+     * config whose interconnect hop is shorter.
      */
     static constexpr Cycles kWindowCycles = 8;
 
@@ -93,7 +110,8 @@ class ShardedEngine final : public LaneRouter, public HubSubLanes
      * @param numSms   number of SM lanes (lane i serves SM id i).
      * @param workers  worker threads to use, including the calling
      *                 thread; clamped to [1, numSms]. Does not affect
-     *                 results, only wall-clock time.
+     *                 results, only wall-clock time. No thread starts
+     *                 until a phase has busy lanes for two threads.
      */
     ShardedEngine(unsigned numSms, unsigned workers);
     ~ShardedEngine() override;
@@ -136,8 +154,8 @@ class ShardedEngine final : public LaneRouter, public HubSubLanes
     /** Number of SM lanes (excluding the hub lane). */
     unsigned numLanes() const { return static_cast<unsigned>(lanes_.size()); }
 
-    /** Worker threads in use, including the coordinating thread. */
-    unsigned workers() const { return static_cast<unsigned>(threads_.size()) + 1; }
+    /** Configured pool size, including the coordinating thread. */
+    unsigned workers() const { return workers_; }
 
     /** Start cycle of the current window. */
     Cycles windowStart() const { return windowStart_; }
@@ -246,7 +264,9 @@ class ShardedEngine final : public LaneRouter, public HubSubLanes
     {
         EventQueue queue;
         std::vector<OutMsg> outbox;
-        // Self-profiler accounting (coordinator-only, epoch barrier).
+        // Self-profiler accounting: outMsgs by the coordinator at the
+        // merge, busyWindows/lastExecuted by the thread that ran the
+        // lane, lastSampled by the coordinator at a trace sample.
         std::uint64_t outMsgs = 0;       ///< SM->hub messages sent
         std::uint64_t busyWindows = 0;   ///< windows with dispatches
         std::uint64_t lastExecuted = 0;  ///< executed() at last barrier
@@ -258,7 +278,7 @@ class ShardedEngine final : public LaneRouter, public HubSubLanes
     {
         EventQueue queue;
         std::vector<SubMsg> outbox;
-        // Self-profiler accounting (coordinator-only, epoch barrier).
+        // Self-profiler accounting, as in Lane.
         std::uint64_t outMsgs = 0;       ///< cross-lane messages sent
         std::uint64_t busyWindows = 0;   ///< windows with dispatches
         std::uint64_t lastExecuted = 0;  ///< executed() at last barrier
@@ -275,8 +295,9 @@ class ShardedEngine final : public LaneRouter, public HubSubLanes
 
     void runEpoch();
     void parallelPhase(Cycles limit, bool subPhase);
-    void runLanes(Cycles limit, bool subPhase);
-    void workerLoop(unsigned worker);
+    void runLanes(unsigned worker, unsigned stride);
+    void startWorkers();
+    void workerLoop(unsigned worker, unsigned seenGen);
     bool anyWork() const;
     void sampleTrace(Cycles windowEnd);
     void exchangeSubOutboxes(Cycles windowEnd);
@@ -303,32 +324,34 @@ class ShardedEngine final : public LaneRouter, public HubSubLanes
     Histogram hubQueueDepth_{16, 64};    ///< hub pending at hub-phase start
     Histogram hubWindowEvents_{16, 64};  ///< hub dispatches per busy window
 
-    // Self-profiler: wall-clock figures (host-dependent; excluded from
-    // the StatsRegistry). workerBusyNs_[0] is the coordinator; slot
-    // i + 1 is threads_[i], written by that thread between its runLanes
-    // return and its m_ acquisition, read by the coordinator only after
-    // the cvDone_ wait on the same mutex -- the lock chain orders every
-    // access (TSan-clean).
+    // Self-profiler: host figures (excluded from the StatsRegistry).
+    // workerBusyNs_[0] is the coordinator; slot i + 1 is threads_[i],
+    // written by that thread before its release decrement of pending_
+    // and read by the coordinator only after it acquires pending_ == 0
+    // (TSan-clean).
     double wallSmPhaseNs_ = 0.0;
     double wallHubNs_ = 0.0;
     double wallSubPhaseNs_ = 0.0;
     double wallExchangeNs_ = 0.0;
     std::vector<double> workerBusyNs_;
+    std::uint64_t pooledPhases_ = 0;
+    std::uint64_t inlinePhases_ = 0;
 
     TraceMux *trace_ = nullptr;
     std::function<void(Cycles)> epochSampleHook_;
 
-    // Worker pool. All lane handoffs go through m_ (see file comment).
-    std::vector<std::thread> threads_;
-    std::mutex m_;
-    std::condition_variable cv_;      ///< coordinator -> workers: new epoch
-    std::condition_variable cvDone_;  ///< workers -> coordinator: lanes done
-    std::atomic<unsigned> laneCursor_{0};
+    // Worker pool (see the file comment, "Thread-safety"). The phase
+    // fields are written by the coordinator before it bumps epochGen_
+    // and read by the workers after they acquire the new generation.
+    unsigned workers_;   ///< configured pool size, incl. the coordinator
+    bool spin_;          ///< pool fits the host: spin before parking
+    std::vector<std::uint32_t> busyLanes_;  ///< this phase's lanes
     Cycles laneLimit_ = 0;
-    bool phaseIsSub_ = false;  ///< guarded by m_: which lane set to run
-    std::uint64_t epochGen_ = 0;
-    unsigned pendingWorkers_ = 0;
+    bool phaseIsSub_ = false;
     bool stop_ = false;
+    alignas(64) std::atomic<unsigned> epochGen_{0};  ///< -> workers
+    alignas(64) std::atomic<unsigned> pending_{0};   ///< -> coordinator
+    std::vector<std::thread> threads_;  ///< started lazily
 };
 
 }  // namespace mosaic

@@ -340,6 +340,20 @@ runSimulation(const Workload &workload, const SimConfig &config)
     // per-SM), merged deterministically at export. Hub-side components
     // take a plain `Tracer *` into the hub ring; null means no tracing.
     const unsigned shards = resolveEngineShards(config);
+    // The sharded engine runs each lane a whole window ahead of what
+    // other lanes can tell it (DESIGN.md §12, "Lookahead window"), so
+    // no lane-crossing latency may be shorter than the window. The
+    // SM<->L2 crossbar hop is the shortest; below the window it would
+    // trip the hub->SM window check mid-run or delay sub->SM fills.
+    if (shards > 0 &&
+        config.caches.interconnectCycles < ShardedEngine::kWindowCycles)
+        MOSAIC_FATAL("config caches.interconnectCycles: " +
+                     std::to_string(config.caches.interconnectCycles) +
+                     " is below the sharded engine's " +
+                     std::to_string(ShardedEngine::kWindowCycles) +
+                     "-cycle lookahead window (use >= " +
+                     std::to_string(ShardedEngine::kWindowCycles) +
+                     ", or engineShards = 0)");
 
     // Checkpoint restore (DESIGN.md §14): read and validate the image
     // up front -- before any component exists -- so a bad file fails
