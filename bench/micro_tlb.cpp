@@ -22,10 +22,10 @@ BM_TlbLookupHit(benchmark::State &state)
     cfg.baseEntries = static_cast<std::size_t>(state.range(0));
     Tlb tlb(cfg);
     for (std::uint64_t v = 0; v < cfg.baseEntries; ++v)
-        tlb.fillBase(0, v);
+        tlb.fill(0, 0, v);
     std::uint64_t v = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(tlb.lookupBase(0, v % cfg.baseEntries));
+        benchmark::DoNotOptimize(tlb.lookup(0, 0, v % cfg.baseEntries));
         ++v;
     }
     state.SetItemsProcessed(state.iterations());
@@ -40,8 +40,8 @@ BM_TlbFillEvictCycle(benchmark::State &state)
     Tlb tlb(cfg);
     std::uint64_t v = 0;
     for (auto _ : state) {
-        if (!tlb.lookupBase(0, v))
-            tlb.fillBase(0, v);
+        if (!tlb.lookup(0, 0, v))
+            tlb.fill(0, 0, v);
         ++v;
     }
     state.SetItemsProcessed(state.iterations());

@@ -10,6 +10,10 @@
  * checker library. Implementations must be purely passive observers:
  * no event scheduling, no stats mutation, no state changes visible to
  * the simulation (the `withInvariantChecks` observation-only contract).
+ *
+ * TLB traffic arrives as one fill and one shootdown hook, each naming
+ * the page-size level of the entry (0 = base, the top level = the
+ * classic large page), plus a pair for CoLT group entries.
  */
 
 #ifndef MOSAIC_CHECK_CHECK_SINK_H
@@ -51,33 +55,17 @@ class CheckSink
     /** A soft-guarantee violation occurred at an audited failsafe site. */
     virtual void onAuditedViolation(AuditedSite site) = 0;
 
-    /** A base-page translation was installed in some TLB level. */
-    virtual void onTlbFillBase(AppId app, std::uint64_t baseVpn) = 0;
-
-    /** A large-page translation was installed in some TLB level. */
-    virtual void onTlbFillLarge(AppId app, std::uint64_t largeVpn) = 0;
-
-    /** A base-page entry was shot down from every TLB level. */
-    virtual void onTlbShootdownBase(AppId app, std::uint64_t baseVpn) = 0;
-
-    /** A large-page entry was shot down from every TLB level. */
-    virtual void onTlbShootdownLarge(AppId app, std::uint64_t largeVpn) = 0;
-
     /**
-     * Intermediate-size-level TLB traffic (Trident hierarchies only;
-     * never fired for the top level, which keeps the legacy large
-     * hooks, nor in the default two-size configuration). @p vpn is the
-     * page number at that level's granularity. Default-bodied so
-     * two-size sinks need no changes.
+     * A translation of size level @p level (0 = base page, the top
+     * level = the classic large page) was installed in some TLB level.
+     * @p vpn is the page number at that level's granularity.
      */
-    virtual void onTlbFillLevel(AppId, std::uint64_t /*vpn*/,
-                                unsigned /*level*/)
-    {
-    }
-    virtual void onTlbShootdownLevel(AppId, std::uint64_t /*vpn*/,
-                                     unsigned /*level*/)
-    {
-    }
+    virtual void onTlbFill(AppId app, std::uint64_t vpn, unsigned level) = 0;
+
+    /** The size-level @p level entry for @p vpn was shot down from
+     *  every TLB level. */
+    virtual void onTlbShootdown(AppId app, std::uint64_t vpn,
+                                unsigned level) = 0;
 
     /**
      * CoLT coalesced-group entry traffic (CoLT mode only). @p groupVpn

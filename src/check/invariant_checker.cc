@@ -245,51 +245,7 @@ InvariantChecker::onAuditedViolation(AuditedSite site)
 }
 
 void
-InvariantChecker::onTlbFillBase(AppId app, std::uint64_t baseVpn)
-{
-    const auto it = tables_.find(app);
-    if (it == tables_.end())
-        return;
-    const Translation t =
-        it->second->translate(baseVpn << kBasePageBits);
-    // Fills for since-unmapped pages can legitimately come from stale L2
-    // entries (unmap does not shoot down); only record valid mappings.
-    if (t.valid)
-        tlbBase_[tlbKey(app, baseVpn)] = basePageBase(t.physAddr);
-}
-
-void
-InvariantChecker::onTlbFillLarge(AppId app, std::uint64_t largeVpn)
-{
-    const auto it = tables_.find(app);
-    if (it == tables_.end())
-        return;
-    const Addr va = largeVpn << kLargePageBits;
-    const Translation t = it->second->translate(va);
-    if (!t.valid)
-        return;
-    if (t.size != PageSize::Large) {
-        fail("tlb: large-page fill for app " + std::to_string(app) +
-             " region " + hex(va) + " which is not coalesced");
-        return;
-    }
-    tlbLarge_[tlbKey(app, largeVpn)] = largePageBase(t.physAddr);
-}
-
-void
-InvariantChecker::onTlbShootdownBase(AppId app, std::uint64_t baseVpn)
-{
-    tlbBase_.erase(tlbKey(app, baseVpn));
-}
-
-void
-InvariantChecker::onTlbShootdownLarge(AppId app, std::uint64_t largeVpn)
-{
-    tlbLarge_.erase(tlbKey(app, largeVpn));
-}
-
-void
-InvariantChecker::onTlbFillLevel(AppId app, std::uint64_t vpn, unsigned level)
+InvariantChecker::onTlbFill(AppId app, std::uint64_t vpn, unsigned level)
 {
     const auto it = tables_.find(app);
     if (it == tables_.end())
@@ -297,24 +253,27 @@ InvariantChecker::onTlbFillLevel(AppId app, std::uint64_t vpn, unsigned level)
     const PageSizeHierarchy &hs = it->second->sizes();
     const Addr va = static_cast<Addr>(vpn) << hs.bits(level);
     const Translation t = it->second->translate(va);
+    // Fills for since-unmapped pages can legitimately come from stale L2
+    // entries (unmap does not shoot down); only record valid mappings.
     if (!t.valid)
         return;
-    // Unlike base entries, intermediate-level demotions always shoot
-    // down, so a fill must match the live translation level exactly.
-    if (t.level != level) {
+    // Unlike base entries, coalesced-level demotions always shoot down,
+    // so a coalesced-level fill must match the live translation level
+    // exactly.
+    if (level != 0 && t.level != level) {
         fail("tlb: level-" + std::to_string(level) + " fill for app " +
              std::to_string(app) + " region " + hex(va) +
              " whose translation level is " + std::to_string(t.level));
         return;
     }
-    tlbMid_[level - 1][tlbKey(app, vpn)] = hs.pageBase(t.physAddr, level);
+    tlb_[level][tlbKey(app, vpn)] = hs.pageBase(t.physAddr, level);
 }
 
 void
-InvariantChecker::onTlbShootdownLevel(AppId app, std::uint64_t vpn,
-                                      unsigned level)
+InvariantChecker::onTlbShootdown(AppId app, std::uint64_t vpn,
+                                 unsigned level)
 {
-    tlbMid_[level - 1].erase(tlbKey(app, vpn));
+    tlb_[level].erase(tlbKey(app, vpn));
 }
 
 void
@@ -345,53 +304,14 @@ InvariantChecker::onTlbShootdownColt(AppId app, std::uint64_t groupVpn)
 // Verification sweeps
 // ---------------------------------------------------------------------------
 
+template <typename Probe>
 bool
-InvariantChecker::tlbContainsBase(AppId app, std::uint64_t vpn) const
+InvariantChecker::anyTlb(Probe probe) const
 {
-    if (translation_->l2Tlb().containsBase(app, vpn))
+    if (probe(translation_->l2Tlb()))
         return true;
     for (unsigned sm = 0; sm < translation_->numSms(); ++sm) {
-        if (translation_->l1Tlb(static_cast<SmId>(sm)).containsBase(app, vpn))
-            return true;
-    }
-    return false;
-}
-
-bool
-InvariantChecker::tlbContainsLarge(AppId app, std::uint64_t vpn) const
-{
-    if (translation_->l2Tlb().containsLarge(app, vpn))
-        return true;
-    for (unsigned sm = 0; sm < translation_->numSms(); ++sm) {
-        if (translation_->l1Tlb(static_cast<SmId>(sm)).containsLarge(app, vpn))
-            return true;
-    }
-    return false;
-}
-
-bool
-InvariantChecker::tlbContainsMid(unsigned midIdx, AppId app,
-                                 std::uint64_t vpn) const
-{
-    if (translation_->l2Tlb().numMidLevels() > midIdx &&
-        translation_->l2Tlb().containsMid(midIdx, app, vpn))
-        return true;
-    for (unsigned sm = 0; sm < translation_->numSms(); ++sm) {
-        const Tlb &l1 = translation_->l1Tlb(static_cast<SmId>(sm));
-        if (l1.numMidLevels() > midIdx && l1.containsMid(midIdx, app, vpn))
-            return true;
-    }
-    return false;
-}
-
-bool
-InvariantChecker::tlbContainsColtGroup(AppId app, std::uint64_t baseVpn) const
-{
-    if (translation_->l2Tlb().containsColtGroup(app, baseVpn))
-        return true;
-    for (unsigned sm = 0; sm < translation_->numSms(); ++sm) {
-        if (translation_->l1Tlb(static_cast<SmId>(sm))
-                .containsColtGroup(app, baseVpn))
+        if (probe(translation_->l1Tlb(static_cast<SmId>(sm))))
             return true;
     }
     return false;
@@ -441,10 +361,10 @@ InvariantChecker::verifyShadowVsPageTables()
                     sh_large = sh.mid[m].count(
                                    pt->sizes().pageNumber(va, m + 1)) > 0;
             }
-            if ((t.size == PageSize::Large) != sh_large)
+            if ((t.level != 0) != sh_large)
                 fail("shadow: app " + std::to_string(app) + " va " +
                      hex(va) + " size-class mismatch (table large=" +
-                     std::to_string(t.size == PageSize::Large) +
+                     std::to_string(t.level != 0) +
                      ", shadow large=" + std::to_string(sh_large) + ")");
         }
         for (const std::uint64_t lvpn : sh.coalesced) {
@@ -842,77 +762,23 @@ InvariantChecker::verifyTlbCoherence()
     if (translation_ == nullptr)
         return;
 
-    // Base entries: an entry still present anywhere must agree with the
-    // current page table if the page is still mapped. (Remaps without a
-    // shootdown are exactly what this catches; unmapped pages may keep
-    // dangling entries because the fill path re-translates.)
-    for (auto it = tlbBase_.begin(); it != tlbBase_.end();) {
-        const AppId app = static_cast<AppId>(it->first >> 44);
-        const std::uint64_t vpn = it->first & ((1ull << 44) - 1);
-        if (!tlbContainsBase(app, vpn)) {
-            it = tlbBase_.erase(it);  // silently evicted; forget it
-            continue;
-        }
-        const auto pt_it = tables_.find(app);
-        if (pt_it != tables_.end()) {
-            const Translation t =
-                pt_it->second->translate(vpn << kBasePageBits);
-            if (t.valid && basePageBase(t.physAddr) != it->second)
-                fail("tlb: stale base entry for app " +
-                     std::to_string(app) + " va " +
-                     hex(vpn << kBasePageBits) + " (cached " +
-                     hex(it->second) + ", table now " +
-                     hex(basePageBase(t.physAddr)) +
-                     ") survived a remap without shootdown");
-        }
-        ++it;
-    }
-
-    // Large entries: a surviving entry over a region that still has
-    // mapped pages must still be coalesced and point at the same frame.
-    for (auto it = tlbLarge_.begin(); it != tlbLarge_.end();) {
-        const AppId app = static_cast<AppId>(it->first >> 44);
-        const std::uint64_t lvpn = it->first & ((1ull << 44) - 1);
-        if (!tlbContainsLarge(app, lvpn)) {
-            it = tlbLarge_.erase(it);
-            continue;
-        }
-        const auto pt_it = tables_.find(app);
-        if (pt_it != tables_.end()) {
-            const PageTable &pt = *pt_it->second;
-            const Addr va = lvpn << kLargePageBits;
-            if (pt.isCoalesced(va)) {
-                const Translation t = pt.translate(va);
-                if (t.valid && largePageBase(t.physAddr) != it->second)
-                    fail("tlb: stale large entry for app " +
-                         std::to_string(app) + " region " + hex(va) +
-                         " points at " + hex(it->second) +
-                         ", table now at " + hex(largePageBase(t.physAddr)));
-            } else {
-                // Splintered: the entry must not outlive any still-mapped
-                // page of the region (shootdownLarge is mandatory).
-                bool any_mapped = false;
-                for (unsigned s = 0;
-                     s < kBasePagesPerLargePage && !any_mapped; ++s)
-                    any_mapped = pt.isMapped(va + s * kBasePageSize);
-                if (any_mapped)
-                    fail("tlb: large entry for app " + std::to_string(app) +
-                         " region " + hex(va) +
-                         " survived a splinter without shootdown");
-            }
-        }
-        ++it;
-    }
-
-    // Intermediate-level entries (Trident): same contract as large
-    // entries, per level. Both maps stay empty with the default pair.
-    for (unsigned m = 0; m < tlbMid_.size(); ++m) {
-        const unsigned level = m + 1;
-        for (auto it = tlbMid_[m].begin(); it != tlbMid_[m].end();) {
+    // Every size level, one contract. A base entry still present
+    // anywhere must agree with the current page table if the page is
+    // still mapped (remaps without a shootdown are exactly what this
+    // catches; unmapped pages may keep dangling entries because the fill
+    // path re-translates). A coalesced-level entry over a run that is
+    // still coalesced must point at the same frame; once splintered, it
+    // must not outlive any still-mapped page of the run (the level
+    // shootdown is mandatory).
+    for (unsigned level = 0; level < tlb_.size(); ++level) {
+        auto &entries = tlb_[level];
+        for (auto it = entries.begin(); it != entries.end();) {
             const AppId app = static_cast<AppId>(it->first >> 44);
             const std::uint64_t vpn = it->first & ((1ull << 44) - 1);
-            if (!tlbContainsMid(m, app, vpn)) {
-                it = tlbMid_[m].erase(it);
+            if (!anyTlb([&](const Tlb &tlb) {
+                    return tlb.contains(level, app, vpn);
+                })) {
+                it = entries.erase(it);  // silently evicted; forget it
                 continue;
             }
             const auto pt_it = tables_.find(app);
@@ -920,20 +786,23 @@ InvariantChecker::verifyTlbCoherence()
                 const PageTable &pt = *pt_it->second;
                 const PageSizeHierarchy &hs = pt.sizes();
                 const Addr va = vpn << hs.bits(level);
-                if (pt.isCoalescedAt(va, level)) {
+                if (level == 0 || pt.isCoalescedAt(va, level)) {
                     const Translation t = pt.translate(va);
                     if (t.valid &&
                         hs.pageBase(t.physAddr, level) != it->second)
-                        fail("tlb: stale level-" + std::to_string(level) +
+                        fail("tlb: stale " +
+                             (level == 0 ? std::string("base")
+                                         : "level-" + std::to_string(level)) +
                              " entry for app " + std::to_string(app) +
-                             " run " + hex(va) + " points at " +
-                             hex(it->second) + ", table now at " +
-                             hex(hs.pageBase(t.physAddr, level)));
+                             " va " + hex(va) + " (cached " +
+                             hex(it->second) + ", table now " +
+                             hex(hs.pageBase(t.physAddr, level)) +
+                             ") survived a remap without shootdown");
                 } else {
-                    const unsigned run_pages = static_cast<unsigned>(
-                        hs.basePagesPer(level));
+                    const auto pages =
+                        static_cast<unsigned>(hs.basePagesPer(level));
                     bool any_mapped = false;
-                    for (unsigned s = 0; s < run_pages && !any_mapped; ++s)
+                    for (unsigned s = 0; s < pages && !any_mapped; ++s)
                         any_mapped = pt.isMapped(va + s * kBasePageSize);
                     if (any_mapped)
                         fail("tlb: level-" + std::to_string(level) +
@@ -953,7 +822,9 @@ InvariantChecker::verifyTlbCoherence()
         const std::uint64_t gvpn = it->first & ((1ull << 44) - 1);
         const unsigned span = translation_->l2Tlb().coltSpanPagesLog2();
         const std::uint64_t base_vpn = gvpn << span;
-        if (!tlbContainsColtGroup(app, base_vpn)) {
+        if (!anyTlb([&](const Tlb &tlb) {
+                return tlb.containsColtGroup(app, base_vpn);
+            })) {
             it = tlbColt_.erase(it);
             continue;
         }

@@ -12,7 +12,7 @@
  *
  *  (a) page table <-> FramePool agreement: every mapped VA is backed by
  *      exactly one owned slot and vice versa, and slotVa round-trips;
- *  (b) TLB coherence: no base or large TLB entry survives a remap,
+ *  (b) TLB coherence: no TLB entry of any size level survives a remap,
  *      splinter, or shootdown stale;
  *  (c) frame-state legality: coalesced implies a single-owner,
  *      contiguity-conserved chunk, fully populated unless parked on the
@@ -25,7 +25,7 @@
  *
  * The checker is strictly observation-only: it never schedules events,
  * never mutates simulation state, and only uses const probes (e.g.
- * Tlb::containsBase, never lookupBase), so enabling it cannot change a
+ * Tlb::contains, never lookup), so enabling it cannot change a
  * SimResult (the `SimConfig::withInvariantChecks` contract).
  */
 
@@ -129,14 +129,9 @@ class InvariantChecker final : public PageTableObserver, public CheckSink
     void onMigrationCharged(Addr srcPa, Addr dstPa, bool inDramCopy,
                             Cycles charged) override;
     void onAuditedViolation(AuditedSite site) override;
-    void onTlbFillBase(AppId app, std::uint64_t baseVpn) override;
-    void onTlbFillLarge(AppId app, std::uint64_t largeVpn) override;
-    void onTlbShootdownBase(AppId app, std::uint64_t baseVpn) override;
-    void onTlbShootdownLarge(AppId app, std::uint64_t largeVpn) override;
-    void onTlbFillLevel(AppId app, std::uint64_t vpn,
+    void onTlbFill(AppId app, std::uint64_t vpn, unsigned level) override;
+    void onTlbShootdown(AppId app, std::uint64_t vpn,
                         unsigned level) override;
-    void onTlbShootdownLevel(AppId app, std::uint64_t vpn,
-                             unsigned level) override;
     void onTlbFillColt(AppId app, std::uint64_t groupVpn) override;
     void onTlbShootdownColt(AppId app, std::uint64_t groupVpn) override;
 
@@ -167,11 +162,8 @@ class InvariantChecker final : public PageTableObserver, public CheckSink
     /** Independent re-derivation of the DRAM channel from DramConfig. */
     unsigned shadowChannel(Addr pa) const;
 
-    bool tlbContainsBase(AppId app, std::uint64_t vpn) const;
-    bool tlbContainsLarge(AppId app, std::uint64_t vpn) const;
-    bool tlbContainsMid(unsigned midIdx, AppId app,
-                        std::uint64_t vpn) const;
-    bool tlbContainsColtGroup(AppId app, std::uint64_t baseVpn) const;
+    /** True when the shared L2 TLB or any SM's L1 TLB passes @p probe. */
+    template <typename Probe> bool anyTlb(Probe probe) const;
 
     /** Size hierarchy of @p app's observed table (default if unknown). */
     const PageSizeHierarchy &appSizes(AppId app) const;
@@ -192,11 +184,11 @@ class InvariantChecker final : public PageTableObserver, public CheckSink
 
     std::map<AppId, const PageTable *> tables_;
     std::map<AppId, ShadowApp> shadow_;
-    /** TLB fill shadow: key -> PA recorded at fill time. */
-    std::map<std::uint64_t, Addr> tlbBase_;
-    std::map<std::uint64_t, Addr> tlbLarge_;
-    /** Intermediate-level entries, indexed by size level - 1. */
-    std::array<std::map<std::uint64_t, Addr>, 2> tlbMid_;
+    /** TLB fill shadow per size level: key -> page PA recorded at fill
+     *  time. */
+    std::array<std::map<std::uint64_t, Addr>,
+               PageSizeHierarchy::kMaxSizeLevels>
+        tlb_;
     /** CoLT group entries: key(app, groupVpn) -> group base PA. */
     std::map<std::uint64_t, Addr> tlbColt_;
 

@@ -67,7 +67,8 @@ Cac::splinterFrame(std::uint32_t frameIdx)
     // Splintering must shoot the stale large-page mapping down in every
     // TLB level before any base mapping can change (paper §4.4).
     if (state_.env.translation != nullptr)
-        state_.env.translation->shootdownLarge(frame.owner, chunk_va);
+        state_.env.translation->shootdown(frame.owner, chunk_va,
+                                          pt.sizes().topLevel());
     if (state_.env.dram != nullptr) {
         const auto path = pt.walkPath(chunk_va);
         const unsigned d = pt.coalesceBitDepth(pt.sizes().topLevel());
@@ -127,8 +128,7 @@ Cac::splinterMidRuns(std::uint32_t frameIdx, bool onlyBroken)
             mmtrace::frameMark(state_, "frame.splinterRun", frameIdx,
                                {"level", level});
             if (state_.env.translation != nullptr) {
-                state_.env.translation->shootdownLevel(frame.owner, run_va,
-                                                       level);
+                state_.env.translation->shootdown(frame.owner, run_va, level);
             }
             if (state_.env.dram != nullptr) {
                 const auto path = pt.walkPath(run_va);
@@ -289,7 +289,7 @@ Cac::compactFrame(std::uint32_t frameIdx)
         state_.pool.allocateSlot(dest.frame, dest.slot, frame.owner, va);
         app.pageTable->remapBasePage(va, dst_pa);
         if (state_.env.translation != nullptr)
-            state_.env.translation->shootdownBase(frame.owner, va);
+            state_.env.translation->shootdown(frame.owner, va, 0);
         state_.pool.freeSlot(frameIdx, slot);
         ++state_.stats.migrations;
 

@@ -89,7 +89,7 @@ GpuMmuManager::releaseRegion(AppId app, Addr vaBase, std::uint64_t bytes)
         // Shoot the released translation down so a re-reserved VA cannot
         // hit a stale TLB entry pointing at the recycled slot.
         if (env_.translation != nullptr)
-            env_.translation->shootdownBase(app, va);
+            env_.translation->shootdown(app, va, 0);
         pool_.freeSlot(frame, slot);
         recycledSlots_.emplace_back(static_cast<std::uint32_t>(frame), slot);
         ++stats_.pagesReleased;

@@ -99,7 +99,8 @@ LargeOnlyManager::releaseRegion(AppId app, Addr vaBase, std::uint64_t bytes)
             ++stats_.splinterOps;
             // Large-entry shootdown, same contract as Cac::splinterFrame.
             if (env_.translation != nullptr)
-                env_.translation->shootdownLarge(app, chunk);
+                env_.translation->shootdown(app, chunk,
+                                            pt.sizes().topLevel());
         }
         for (unsigned slot = 0; slot < kBasePagesPerLargePage; ++slot) {
             const Addr slot_va = chunk + slot * kBasePageSize;
@@ -108,7 +109,7 @@ LargeOnlyManager::releaseRegion(AppId app, Addr vaBase, std::uint64_t bytes)
                 // Released VAs can be re-reserved onto another frame; a
                 // stale base entry would keep serving the freed slot.
                 if (env_.translation != nullptr)
-                    env_.translation->shootdownBase(app, slot_va);
+                    env_.translation->shootdown(app, slot_va, 0);
                 pool_.freeSlot(frame, slot);
                 ++stats_.pagesReleased;
             }

@@ -247,7 +247,7 @@ MosaicManager::releaseRegion(AppId app, Addr vaBase, std::uint64_t bytes)
         // and remapped to a different frame, and a stale TLB entry would
         // keep serving the old physical page.
         if (state_.env.translation != nullptr)
-            state_.env.translation->shootdownBase(app, va);
+            state_.env.translation->shootdown(app, va, 0);
         state_.pool.freeSlot(frame, slot);
         ++state_.stats.pagesReleased;
         if (touched.empty() || touched.back() != frame)

@@ -1097,7 +1097,7 @@ aloneIpcs(const Workload &workload, const SimConfig &sharedConfig)
     // correct -- we trade a rare duplicated run for not serializing every
     // memoized lookup behind a multi-second simulation).
     static std::mutex cache_mutex;
-    static std::map<std::string, double> cache;  // guarded by cache_mutex
+    static std::map<std::uint64_t, double> cache;  // guarded by cache_mutex
 
     const auto shares = Gpu::partitionSms(
         sharedConfig.gpu.numSms,
@@ -1106,23 +1106,6 @@ aloneIpcs(const Workload &workload, const SimConfig &sharedConfig)
     std::vector<double> ipcs;
     for (std::size_t i = 0; i < workload.apps.size(); ++i) {
         const AppParams &app = workload.apps[i];
-        const std::string key =
-            app.name + "#sm" + std::to_string(shares[i]) + "#i" +
-            std::to_string(app.instrPerWarp) + "#ws" +
-            std::to_string(app.workingSetBytes()) + "#w" +
-            std::to_string(sharedConfig.gpu.sm.warpsPerSm) + "#io" +
-            std::to_string(sharedConfig.pcie.bytesPerCycle) + "#p" +
-            std::to_string(sharedConfig.demandPaging ? 1 : 0) + "#sh" +
-            std::to_string(resolveEngineShards(sharedConfig) > 0 ? 1 : 0);
-        {
-            std::lock_guard<std::mutex> lock(cache_mutex);
-            const auto it = cache.find(key);
-            if (it != cache.end()) {
-                ipcs.push_back(it->second);
-                continue;
-            }
-        }
-
         // The denominator runs under the baseline memory manager and
         // TLB, but inherits the shared run's substrate (GPU, caches,
         // DRAM, I/O bus, paging mode) so the ratio isolates sharing.
@@ -1138,12 +1121,25 @@ aloneIpcs(const Workload &workload, const SimConfig &sharedConfig)
         alone_cfg.seed = sharedConfig.seed;
         // The denominator must use the same engine (serial vs sharded)
         // as the shared run: the sharded engine's bounded completion
-        // drift makes it a distinct timing model, and the memo key
-        // above separates the two populations accordingly.
+        // drift makes it a distinct timing model.
         alone_cfg.engineShards = sharedConfig.engineShards;
         Workload alone_wl;
         alone_wl.name = app.name + "-alone";
         alone_wl.apps.push_back(app);
+
+        // The memo key is the alone run's simulated system itself --
+        // the fingerprint checkpoint restore trusts -- so substrates
+        // that differ in any event-changing knob never share an entry.
+        const std::uint64_t key = configFingerprint(
+            alone_wl, alone_cfg, resolveEngineShards(alone_cfg) > 0);
+        {
+            std::lock_guard<std::mutex> lock(cache_mutex);
+            const auto it = cache.find(key);
+            if (it != cache.end()) {
+                ipcs.push_back(it->second);
+                continue;
+            }
+        }
         const SimResult r = runSimulation(alone_wl, alone_cfg);
         const double ipc = r.apps[0].ipc;
         {

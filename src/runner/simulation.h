@@ -113,7 +113,8 @@ SimResult runSimulation(const Workload &workload, const SimConfig &config);
  * IPCs of each application of @p workload running alone (no sharing) on
  * the same SM partition sizes, under the baseline GPU-MMU configuration
  * with paging disabled-overhead -- the paper's IPC_alone denominator.
- * Results are memoized per (app name, SM count, scale signature); the
+ * Results are memoized per alone-run fingerprint (every knob of the
+ * alone run's workload and config that changes which events run); the
  * memo is mutex-guarded, so this is safe to call concurrently.
  */
 std::vector<double> aloneIpcs(const Workload &workload,

@@ -196,7 +196,6 @@ PageTable::translateImpl(Addr va) const
     result.resident = node->leafResident[idx];
     result.physAddr = page + (va & (kBasePageSize - 1));
     result.level = static_cast<std::uint8_t>(level);
-    result.size = level > 0 ? PageSize::Large : PageSize::Base;
     return result;
 }
 

@@ -74,10 +74,8 @@ struct Translation
      *  (an access to it raises a far-fault). */
     bool resident = false;
     Addr physAddr = kInvalidAddr;   ///< full physical address
-    PageSize size = PageSize::Base; ///< translation granularity (coarse)
     /** Size level of the translation (0 = base; the highest coalesced
-     *  level covering the address otherwise). `size` is `Large` iff
-     *  this is nonzero. */
+     *  level covering the address otherwise). */
     std::uint8_t level = 0;
 };
 

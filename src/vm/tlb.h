@@ -5,7 +5,10 @@
  * Each TLB level keeps one structure per page-size level (paper §2.2
  * describes the classic pair: one array of base-page 4KB translations
  * and one of large-page 2MB translations; a Trident-style hierarchy adds
- * a "mid" array per intermediate size). Entries are tagged with an
+ * a "mid" array per intermediate size). Every operation names its array
+ * by size level -- `lookup/fill/flush/contains/occupancy/forEach(level,
+ * app, vpn)` -- and `slotOf(level)` maps the level onto the storage
+ * slot: base, large (top), mid, mid2. Entries are tagged with an
  * address-space identifier so multiple applications can share the L2 TLB
  * safely.
  *
@@ -16,20 +19,22 @@
  * verifying the run's contiguity against the live page table, and shoots
  * it down whenever any covered base page is remapped/unmapped or the
  * surrounding frame coalesces or splinters — the same events that drive
- * today's base/large shootdowns, so an entry can never outlive the
+ * the per-level shootdowns, so an entry can never outlive the
  * contiguity it encodes.
  */
 
 #ifndef MOSAIC_VM_TLB_H
 #define MOSAIC_VM_TLB_H
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-
 #include <memory>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "cache/set_assoc_cache.h"
+#include "common/page_sizes.h"
 #include "common/stats_registry.h"
 #include "common/types.h"
 
@@ -62,18 +67,14 @@ struct TlbConfig
 class Tlb
 {
   public:
-    /** Intermediate ("mid") size levels any hierarchy can add. */
-    static constexpr unsigned kMaxMidLevels = 2;
+    /** Entry-array slots any hierarchy can use (one per size level). */
+    static constexpr unsigned kMaxSlots = PageSizeHierarchy::kMaxSizeLevels;
 
-    /** Hit/miss counters, split by page-size class. */
+    /** Hit/miss counters, one pair per entry-array slot (see slotOf). */
     struct Stats
     {
-        std::uint64_t baseAccesses = 0;
-        std::uint64_t baseHits = 0;
-        std::uint64_t largeAccesses = 0;
-        std::uint64_t largeHits = 0;
-        std::uint64_t midAccesses[kMaxMidLevels] = {};
-        std::uint64_t midHits[kMaxMidLevels] = {};
+        std::uint64_t slotAccesses[kMaxSlots] = {};
+        std::uint64_t slotHits[kMaxSlots] = {};
         std::uint64_t coltAccesses = 0;
         std::uint64_t coltHits = 0;
         std::uint64_t coltFills = 0;
@@ -82,118 +83,96 @@ class Tlb
         std::uint64_t
         accesses() const
         {
-            return baseAccesses + largeAccesses + midAccesses[0] +
-                   midAccesses[1] + coltAccesses;
+            std::uint64_t sum = coltAccesses;
+            for (const std::uint64_t n : slotAccesses)
+                sum += n;
+            return sum;
         }
         std::uint64_t
         hits() const
         {
-            return baseHits + largeHits + midHits[0] + midHits[1] + coltHits;
+            std::uint64_t sum = coltHits;
+            for (const std::uint64_t n : slotHits)
+                sum += n;
+            return sum;
         }
     };
 
     explicit Tlb(const TlbConfig &config)
-        : config_(config),
-          base_(setsFor(config.baseEntries, config.baseWays),
-                waysFor(config.baseEntries, config.baseWays)),
-          large_(setsFor(config.largeEntries, config.largeWays),
-                 waysFor(config.largeEntries, config.largeWays))
+        : config_(config), numSlots_(std::max(2u, config.numSizeLevels))
     {
-        const unsigned mids =
-            config.numSizeLevels > 2 ? config.numSizeLevels - 2 : 0;
-        for (unsigned i = 0; i < mids && i < kMaxMidLevels; ++i)
-            mid_.emplace_back(setsFor(config.midEntries, config.midWays),
-                              waysFor(config.midEntries, config.midWays));
+        MOSAIC_ASSERT(numSlots_ <= kMaxSlots, "too many TLB size levels");
+        for (unsigned s = 0; s < numSlots_; ++s) {
+            const std::size_t entries = s == 0   ? config.baseEntries
+                                        : s == 1 ? config.largeEntries
+                                                 : config.midEntries;
+            const std::size_t ways = s == 0   ? config.baseWays
+                                     : s == 1 ? config.largeWays
+                                              : config.midWays;
+            slots_[s].emplace(setsFor(entries, ways), waysFor(entries, ways));
+        }
         if (config.coltEnabled)
             colt_ = std::make_unique<SetAssocCache>(
                 setsFor(config.coltEntries, config.coltWays),
                 waysFor(config.coltEntries, config.coltWays));
     }
 
-    /** Looks up a base-page translation; updates recency. */
-    bool
-    lookupBase(AppId app, std::uint64_t baseVpn)
+    /**
+     * Entry-array slot of size level @p level. Slots keep the classic
+     * order -- base, large (the top level), then each intermediate
+     * level ascending -- so arrays, counters, metric names and
+     * checkpoint bytes read the same for every hierarchy. Slots 0 and 1
+     * always exist: a one-level {4K} TLB keeps an unused large array.
+     */
+    unsigned
+    slotOf(unsigned level) const
     {
-        ++stats_.baseAccesses;
-        const bool hit = base_.access(key(app, baseVpn));
-        stats_.baseHits += hit ? 1 : 0;
+        if (level == 0)
+            return 0;
+        return level + 1 == config_.numSizeLevels ? 1 : level + 1;
+    }
+
+    /** Looks up a level-@p level translation; updates recency. */
+    bool
+    lookup(unsigned level, AppId app, std::uint64_t vpn)
+    {
+        const unsigned s = slotOf(level);
+        ++stats_.slotAccesses[s];
+        const bool hit = slots_[s]->access(key(app, vpn));
+        stats_.slotHits[s] += hit ? 1 : 0;
         return hit;
     }
 
-    /** Looks up a large-page translation; updates recency. */
+    /** Installs a level-@p level translation (no-op if present). */
+    void
+    fill(unsigned level, AppId app, std::uint64_t vpn)
+    {
+        slots_[slotOf(level)]->insertIfAbsent(key(app, vpn));
+    }
+
+    /** Removes one level-@p level translation (shootdown). */
     bool
-    lookupLarge(AppId app, std::uint64_t largeVpn)
+    flush(unsigned level, AppId app, std::uint64_t vpn)
     {
-        ++stats_.largeAccesses;
-        const bool hit = large_.access(key(app, largeVpn));
-        stats_.largeHits += hit ? 1 : 0;
-        return hit;
-    }
-
-    /** Installs a base-page translation (no-op if already present). */
-    void
-    fillBase(AppId app, std::uint64_t baseVpn)
-    {
-        base_.insertIfAbsent(key(app, baseVpn));
-    }
-
-    /** Installs a large-page translation (no-op if already present). */
-    void
-    fillLarge(AppId app, std::uint64_t largeVpn)
-    {
-        large_.insertIfAbsent(key(app, largeVpn));
+        return slots_[slotOf(level)]->invalidate(key(app, vpn));
     }
 
     /**
-     * Non-mutating presence probe for a base-page translation. Unlike
-     * lookupBase this touches neither stats nor recency — safe for
-     * observation-only consumers (the invariant checker).
+     * Non-mutating presence probe. Unlike lookup this touches neither
+     * stats nor recency -- safe for observation-only consumers (the
+     * invariant checker).
      */
     bool
-    containsBase(AppId app, std::uint64_t baseVpn) const
+    contains(unsigned level, AppId app, std::uint64_t vpn) const
     {
-        return base_.contains(key(app, baseVpn));
+        return slots_[slotOf(level)]->contains(key(app, vpn));
     }
 
-    /** Non-mutating presence probe for a large-page translation. */
-    bool
-    containsLarge(AppId app, std::uint64_t largeVpn) const
+    /** Number of valid level-@p level entries (tests/debug). */
+    std::size_t
+    occupancy(unsigned level) const
     {
-        return large_.contains(key(app, largeVpn));
-    }
-
-    /** Number of intermediate ("mid") size-level arrays. */
-    unsigned numMidLevels() const { return unsigned(mid_.size()); }
-
-    /** Looks up a mid-level translation (midIdx = size level - 1). */
-    bool
-    lookupMid(unsigned midIdx, AppId app, std::uint64_t vpn)
-    {
-        ++stats_.midAccesses[midIdx];
-        const bool hit = mid_[midIdx].access(key(app, vpn));
-        stats_.midHits[midIdx] += hit ? 1 : 0;
-        return hit;
-    }
-
-    /** Installs a mid-level translation (no-op if already present). */
-    void
-    fillMid(unsigned midIdx, AppId app, std::uint64_t vpn)
-    {
-        mid_[midIdx].insertIfAbsent(key(app, vpn));
-    }
-
-    /** Removes one mid-level translation (mid splinter shootdown). */
-    bool
-    flushMid(unsigned midIdx, AppId app, std::uint64_t vpn)
-    {
-        return mid_[midIdx].invalidate(key(app, vpn));
-    }
-
-    /** Non-mutating presence probe for a mid-level translation. */
-    bool
-    containsMid(unsigned midIdx, AppId app, std::uint64_t vpn) const
-    {
-        return mid_[midIdx].contains(key(app, vpn));
+        return slots_[slotOf(level)]->occupancy();
     }
 
     /** True when the CoLT coalesced-entry array is present. */
@@ -242,20 +221,6 @@ class Tlb
                    key(app, baseVpn >> config_.coltSpanPagesLog2));
     }
 
-    /** Removes one large-page translation (splinter shootdown). */
-    bool
-    flushLarge(AppId app, std::uint64_t largeVpn)
-    {
-        return large_.invalidate(key(app, largeVpn));
-    }
-
-    /** Removes one base-page translation (compaction shootdown). */
-    bool
-    flushBase(AppId app, std::uint64_t baseVpn)
-    {
-        return base_.invalidate(key(app, baseVpn));
-    }
-
     /** Removes every translation belonging to @p app. */
     void
     flushApp(AppId app)
@@ -263,10 +228,8 @@ class Tlb
         auto matches = [app](std::uint64_t k) {
             return static_cast<AppId>(k >> kAppShift) == app;
         };
-        base_.invalidateIf(matches);
-        large_.invalidateIf(matches);
-        for (SetAssocCache &mid : mid_)
-            mid.invalidateIf(matches);
+        for (unsigned s = 0; s < numSlots_; ++s)
+            slots_[s]->invalidateIf(matches);
         if (colt_ != nullptr)
             colt_->invalidateIf(matches);
     }
@@ -275,10 +238,8 @@ class Tlb
     void
     flushAll()
     {
-        base_.flush();
-        large_.flush();
-        for (SetAssocCache &mid : mid_)
-            mid.flush();
+        for (unsigned s = 0; s < numSlots_; ++s)
+            slots_[s]->flush();
         if (colt_ != nullptr)
             colt_->flush();
     }
@@ -291,28 +252,22 @@ class Tlb
 
     /**
      * Binds this level's counters into @p reg under
-     * "<prefix>.{base,large}.{accesses,hits}" (e.g. "vm.tlb.l2").
-     * Owners with stable addresses call this at construction.
+     * "<prefix>.<slot>.{accesses,hits}" (e.g. "vm.tlb.l2.base.hits"),
+     * slots named base, large, mid, mid2. Owners with stable addresses
+     * call this at construction.
      */
     void
     registerMetrics(StatsRegistry &reg, const std::string &prefix,
                     const MetricLabels &labels = {}) const
     {
-        reg.bindCounter(prefix + ".base.accesses", stats_.baseAccesses,
-                        labels);
-        reg.bindCounter(prefix + ".base.hits", stats_.baseHits, labels);
-        reg.bindCounter(prefix + ".large.accesses", stats_.largeAccesses,
-                        labels);
-        reg.bindCounter(prefix + ".large.hits", stats_.largeHits, labels);
         // Mid/CoLT families register only when the structures exist, so
         // the default two-size metric set (pinned by the golden
         // snapshots) is untouched.
-        for (unsigned i = 0; i < mid_.size(); ++i) {
-            const std::string mid =
-                prefix + (i == 0 ? ".mid" : ".mid" + std::to_string(i + 1));
-            reg.bindCounter(mid + ".accesses", stats_.midAccesses[i],
+        for (unsigned s = 0; s < numSlots_; ++s) {
+            const std::string slot = prefix + "." + slotName(s);
+            reg.bindCounter(slot + ".accesses", stats_.slotAccesses[s],
                             labels);
-            reg.bindCounter(mid + ".hits", stats_.midHits[i], labels);
+            reg.bindCounter(slot + ".hits", stats_.slotHits[s], labels);
         }
         if (colt_ != nullptr) {
             reg.bindCounter(prefix + ".colt.accesses", stats_.coltAccesses,
@@ -325,20 +280,17 @@ class Tlb
         }
     }
 
+    /** Metric name of entry-array slot @p slot. */
+    static const char *
+    slotName(unsigned slot)
+    {
+        static const char *const names[kMaxSlots] = {"base", "large", "mid",
+                                                     "mid2"};
+        return names[slot];
+    }
+
     /** Resets statistics (e.g., after warmup). */
     void resetStats() { stats_ = Stats{}; }
-
-    /** Number of valid base entries (tests/debug). */
-    std::size_t baseOccupancy() const { return base_.occupancy(); }
-
-    /** Number of valid large entries (tests/debug). */
-    std::size_t largeOccupancy() const { return large_.occupancy(); }
-
-    /** Number of valid mid entries at @p midIdx (tests/debug). */
-    std::size_t midOccupancy(unsigned midIdx) const
-    {
-        return mid_[midIdx].occupancy();
-    }
 
     /** Number of valid CoLT entries (tests/debug). */
     std::size_t coltOccupancy() const
@@ -356,23 +308,9 @@ class Tlb
     ///@{
     template <typename Fn>
     void
-    forEachBase(Fn fn) const
+    forEach(unsigned level, Fn fn) const
     {
-        base_.forEachKey([&](std::uint64_t k) { fn(keyApp(k), keyVpn(k)); });
-    }
-
-    template <typename Fn>
-    void
-    forEachLarge(Fn fn) const
-    {
-        large_.forEachKey([&](std::uint64_t k) { fn(keyApp(k), keyVpn(k)); });
-    }
-
-    template <typename Fn>
-    void
-    forEachMid(unsigned midIdx, Fn fn) const
-    {
-        mid_[midIdx].forEachKey(
+        slots_[slotOf(level)]->forEachKey(
             [&](std::uint64_t k) { fn(keyApp(k), keyVpn(k)); });
     }
 
@@ -390,19 +328,13 @@ class Tlb
     void
     serialize(ckpt::Archive &ar)
     {
-        ar.io(base_);
-        ar.io(large_);
-        for (SetAssocCache &mid : mid_)
-            ar.io(mid);
+        for (unsigned s = 0; s < numSlots_; ++s)
+            ar.io(*slots_[s]);
         if (colt_ != nullptr)
             ar.io(*colt_);
-        ar.io(stats_.baseAccesses);
-        ar.io(stats_.baseHits);
-        ar.io(stats_.largeAccesses);
-        ar.io(stats_.largeHits);
-        for (unsigned i = 0; i < kMaxMidLevels; ++i) {
-            ar.io(stats_.midAccesses[i]);
-            ar.io(stats_.midHits[i]);
+        for (unsigned s = 0; s < kMaxSlots; ++s) {
+            ar.io(stats_.slotAccesses[s]);
+            ar.io(stats_.slotHits[s]);
         }
         ar.io(stats_.coltAccesses);
         ar.io(stats_.coltHits);
@@ -444,9 +376,9 @@ class Tlb
     }
 
     TlbConfig config_;
-    SetAssocCache base_;
-    SetAssocCache large_;
-    std::vector<SetAssocCache> mid_;      ///< one per intermediate level
+    unsigned numSlots_;
+    /** Entry arrays in slot order; slots past numSlots_ stay empty. */
+    std::array<std::optional<SetAssocCache>, kMaxSlots> slots_;
     std::unique_ptr<SetAssocCache> colt_; ///< CoLT coalesced entries
     Stats stats_;
 };

@@ -1,7 +1,9 @@
 #include "vm/translation.h"
 
 #include <algorithm>
+#include <string>
 
+#include "common/log.h"
 #include "trace/trace_mux.h"
 
 namespace mosaic {
@@ -16,7 +18,40 @@ missKey(AppId app, Addr va, unsigned baseBits)
            pageNumberAt(va, baseBits);
 }
 
-/** Propagates the hierarchy and CoLT switches into both TLB levels. */
+/**
+ * Refuses an entry array of @p entries at @p ways (0 = fully
+ * associative) that no set-associative geometry holds exactly.
+ * @p level and @p array name its config path, e.g. "translation.l2"
+ * and "base"; the message is built only on failure.
+ */
+void
+checkTlbArray(const char *level, const char *array, std::size_t entries,
+              std::size_t ways)
+{
+    if (entries != 0 && (ways == 0 || entries % ways == 0))
+        return;
+    const std::string name = std::string(level) + "." + array;
+    if (entries == 0)
+        MOSAIC_FATAL("config " + name +
+                     "Entries: 0 (a TLB array needs at least one entry)");
+    MOSAIC_FATAL("config " + name + "Entries: " + std::to_string(entries) +
+                 " is not a multiple of " + name + "Ways (" +
+                 std::to_string(ways) + ")");
+}
+
+void
+checkTlbGeometry(const char *level, const TlbConfig &c)
+{
+    checkTlbArray(level, "base", c.baseEntries, c.baseWays);
+    checkTlbArray(level, "large", c.largeEntries, c.largeWays);
+    if (c.numSizeLevels > 2)
+        checkTlbArray(level, "mid", c.midEntries, c.midWays);
+    if (c.coltEnabled)
+        checkTlbArray(level, "colt", c.coltEntries, c.coltWays);
+}
+
+/** Propagates the hierarchy and CoLT switches into both TLB levels and
+ *  refuses geometries their entry arrays cannot hold. */
 TranslationConfig
 normalized(TranslationConfig config)
 {
@@ -24,6 +59,8 @@ normalized(TranslationConfig config)
     config.l2.numSizeLevels = config.sizes.numLevels();
     config.l1.coltEnabled = config.colt;
     config.l2.coltEnabled = config.colt;
+    checkTlbGeometry("translation.l1", config.l1);
+    checkTlbGeometry("translation.l2", config.l2);
     return config;
 }
 
@@ -74,19 +111,18 @@ TranslationService::TranslationService(EventQueue &events,
                                [this] { return stats().faults; });
         // The shared L2 TLB has a stable address; the per-SM L1s are
         // summed through l1StatsTotal() so the paths stay size-agnostic.
+        // The L1 family reports the base and large slots only.
         l2_.registerMetrics(*metrics, "vm.tlb.l2");
-        metrics->bindCounterFn("vm.tlb.l1.base.accesses", [this] {
-            return l1StatsTotal().baseAccesses;
-        });
-        metrics->bindCounterFn("vm.tlb.l1.base.hits", [this] {
-            return l1StatsTotal().baseHits;
-        });
-        metrics->bindCounterFn("vm.tlb.l1.large.accesses", [this] {
-            return l1StatsTotal().largeAccesses;
-        });
-        metrics->bindCounterFn("vm.tlb.l1.large.hits", [this] {
-            return l1StatsTotal().largeHits;
-        });
+        for (unsigned s = 0; s < 2; ++s) {
+            const std::string slot =
+                std::string("vm.tlb.l1.") + Tlb::slotName(s);
+            metrics->bindCounterFn(slot + ".accesses", [this, s] {
+                return l1StatsTotal().slotAccesses[s];
+            });
+            metrics->bindCounterFn(slot + ".hits", [this, s] {
+                return l1StatsTotal().slotHits[s];
+            });
+        }
         // Per-app breakdown: address spaces appear as they translate, so
         // this is a dynamic labeled family (ascending ids; slots that
         // exist only because a higher id forced a resize have zero
@@ -116,10 +152,10 @@ TranslationService::l1StatsTotal() const
 {
     Tlb::Stats total;
     for (const Tlb &tlb : l1_) {
-        total.baseAccesses += tlb.stats().baseAccesses;
-        total.baseHits += tlb.stats().baseHits;
-        total.largeAccesses += tlb.stats().largeAccesses;
-        total.largeHits += tlb.stats().largeHits;
+        for (unsigned s = 0; s < Tlb::kMaxSlots; ++s) {
+            total.slotAccesses[s] += tlb.stats().slotAccesses[s];
+            total.slotHits[s] += tlb.stats().slotHits[s];
+        }
     }
     return total;
 }
@@ -166,20 +202,14 @@ TranslationService::registerApp(AppId app, const PageTable &table)
 void
 TranslationService::flushDeferredCheckHooks()
 {
-    const std::uint8_t top =
-        static_cast<std::uint8_t>(config_.sizes.topLevel());
     for (SmSlice &slice : slices_) {
         for (const DeferredHook &hook : slice.pendingHooks) {
             if (checker_ == nullptr)
                 continue;
             if (hook.kind == kColtKind)
                 checker_->onTlbFillColt(hook.app, hook.vpn);
-            else if (hook.kind == top)
-                checker_->onTlbFillLarge(hook.app, hook.vpn);
-            else if (hook.kind == 0)
-                checker_->onTlbFillBase(hook.app, hook.vpn);
             else
-                checker_->onTlbFillLevel(hook.app, hook.vpn, hook.kind);
+                checker_->onTlbFill(hook.app, hook.vpn, hook.kind);
         }
         slice.pendingHooks.clear();
     }
@@ -346,9 +376,7 @@ TranslationService::missToL2(SmId sm, const PageTable &pageTable, Addr va)
                 // back to the lane; the hub-side L2 fill above already
                 // happened at the walk's natural cycle.
                 if (result.valid) {
-                    const std::uint8_t kind =
-                        result.size == PageSize::Large ? result.level
-                                                       : std::uint8_t{0};
+                    const std::uint8_t kind = result.level;
                     router_->callSm(sm, [this, sm, &pageTable, va, key,
                                          kind] {
                         fillL1FromHub(sm, pageTable, va, kind, key,
@@ -377,15 +405,10 @@ int
 TranslationService::probeTlb(Tlb &tlb, AppId app, Addr va)
 {
     const PageSizeHierarchy &hs = config_.sizes;
-    const unsigned top = hs.topLevel();
-    if (top >= 1 && tlb.lookupLarge(app, pageNumberAt(va, hs.topBits())))
-        return static_cast<int>(top);
-    for (unsigned level = top; level-- > 1;) {
-        if (tlb.lookupMid(level - 1, app, pageNumberAt(va, hs.bits(level))))
+    for (unsigned level = hs.numLevels(); level-- > 0;) {
+        if (tlb.lookup(level, app, pageNumberAt(va, hs.bits(level))))
             return static_cast<int>(level);
     }
-    if (tlb.lookupBase(app, pageNumberAt(va, hs.bits(0))))
-        return 0;
     if (tlb.hasColt() && tlb.lookupColt(app, pageNumberAt(va, hs.bits(0))))
         return kColtKind;
     return -1;
@@ -402,20 +425,12 @@ TranslationService::applyL1Fill(SmId sm, AppId app, Addr va,
         if (checker_ != nullptr)
             checker_->onTlbFillColt(
                 app, base_vpn >> config_.l1.coltSpanPagesLog2);
-    } else if (kind == 0) {
-        l1_[sm].fillBase(app, pageNumberAt(va, hs.bits(0)));
-        if (checker_ != nullptr)
-            checker_->onTlbFillBase(app, pageNumberAt(va, hs.bits(0)));
-    } else if (kind == hs.topLevel()) {
-        l1_[sm].fillLarge(app, pageNumberAt(va, hs.topBits()));
-        if (checker_ != nullptr)
-            checker_->onTlbFillLarge(app, pageNumberAt(va, hs.topBits()));
-    } else {
-        l1_[sm].fillMid(kind - 1, app, pageNumberAt(va, hs.bits(kind)));
-        if (checker_ != nullptr)
-            checker_->onTlbFillLevel(app, pageNumberAt(va, hs.bits(kind)),
-                                     kind);
+        return;
     }
+    const std::uint64_t vpn = pageNumberAt(va, hs.bits(kind));
+    l1_[sm].fill(kind, app, vpn);
+    if (checker_ != nullptr)
+        checker_->onTlbFill(app, vpn, kind);
 }
 
 void
@@ -424,48 +439,28 @@ TranslationService::fillFromWalk(SmId sm, const PageTable &pageTable,
 {
     if (!result.valid)
         return;  // faulting walks install nothing
+    // Coalesced pages fill only their own level's arrays so they never
+    // compete with uncoalesced pages for base-page TLB capacity.
     const AppId app = pageTable.appId();
-    const PageSizeHierarchy &hs = config_.sizes;
-    if (result.size == PageSize::Large) {
-        // Coalesced pages fill only their own level's arrays so they
-        // never compete with uncoalesced pages for base-page TLB
-        // capacity.
-        const unsigned level = result.level;
-        if (level == hs.topLevel()) {
-            l2_.fillLarge(app, pageNumberAt(va, hs.topBits()));
-            if (router_ == nullptr)
-                l1_[sm].fillLarge(app, pageNumberAt(va, hs.topBits()));
-            if (checker_ != nullptr)
-                checker_->onTlbFillLarge(app, pageNumberAt(va, hs.topBits()));
-        } else {
-            l2_.fillMid(level - 1, app, pageNumberAt(va, hs.bits(level)));
-            if (router_ == nullptr)
-                l1_[sm].fillMid(level - 1, app,
-                                pageNumberAt(va, hs.bits(level)));
-            if (checker_ != nullptr)
-                checker_->onTlbFillLevel(
-                    app, pageNumberAt(va, hs.bits(level)), level);
-        }
-    } else {
-        const std::uint64_t base_vpn = pageNumberAt(va, hs.bits(0));
-        l2_.fillBase(app, base_vpn);
+    const unsigned level = result.level;
+    const std::uint64_t vpn = pageNumberAt(va, config_.sizes.bits(level));
+    l2_.fill(level, app, vpn);
+    if (router_ == nullptr)
+        l1_[sm].fill(level, app, vpn);
+    if (checker_ != nullptr)
+        checker_->onTlbFill(app, vpn, level);
+    // CoLT earns reach beyond one base page when the covering group is
+    // already physically contiguous, before any frame-level coalescing
+    // completes.
+    if (level == 0 && config_.colt &&
+        pageTable.contiguousGroupBase(va, config_.l2.coltSpanPagesLog2) !=
+            kInvalidAddr) {
+        l2_.fillColt(app, vpn);
         if (router_ == nullptr)
-            l1_[sm].fillBase(app, base_vpn);
+            l1_[sm].fillColt(app, vpn);
         if (checker_ != nullptr)
-            checker_->onTlbFillBase(app, base_vpn);
-        // CoLT earns reach beyond one base page when the covering group
-        // is already physically contiguous, before any frame-level
-        // coalescing completes.
-        if (config_.colt &&
-            pageTable.contiguousGroupBase(
-                va, config_.l2.coltSpanPagesLog2) != kInvalidAddr) {
-            l2_.fillColt(app, base_vpn);
-            if (router_ == nullptr)
-                l1_[sm].fillColt(app, base_vpn);
-            if (checker_ != nullptr)
-                checker_->onTlbFillColt(
-                    app, base_vpn >> config_.l2.coltSpanPagesLog2);
-        }
+            checker_->onTlbFillColt(app,
+                                    vpn >> config_.l2.coltSpanPagesLog2);
     }
 }
 
@@ -487,46 +482,25 @@ TranslationService::fillL1FromHub(SmId sm, const PageTable &pageTable,
     // revalidation keeps the checker's shadow exact.
     const AppId app = pageTable.appId();
     const PageSizeHierarchy &hs = config_.sizes;
-    const std::uint64_t base_vpn = pageNumberAt(va, hs.bits(0));
-    if (kind == kColtKind) {
-        if (pageTable.contiguousGroupBase(
-                va, config_.l1.coltSpanPagesLog2) != kInvalidAddr) {
-            l1_[sm].fillColt(app, base_vpn);
-            if (checker_ != nullptr)
-                slices_[sm].pendingHooks.push_back(DeferredHook{
-                    kColtKind, app,
-                    base_vpn >> config_.l1.coltSpanPagesLog2});
-        }
-    } else if (kind == 0) {
-        if (pageTable.isMapped(va)) {
-            l1_[sm].fillBase(app, base_vpn);
-            if (checker_ != nullptr)
-                slices_[sm].pendingHooks.push_back(
-                    DeferredHook{0, app, base_vpn});
-        }
-        if (config_.colt &&
-            pageTable.contiguousGroupBase(
-                va, config_.l1.coltSpanPagesLog2) != kInvalidAddr) {
-            l1_[sm].fillColt(app, base_vpn);
-            if (checker_ != nullptr)
-                slices_[sm].pendingHooks.push_back(DeferredHook{
-                    kColtKind, app,
-                    base_vpn >> config_.l1.coltSpanPagesLog2});
-        }
-    } else if (kind == hs.topLevel()) {
-        if (pageTable.isCoalesced(va)) {
-            l1_[sm].fillLarge(app, pageNumberAt(va, hs.topBits()));
-            if (checker_ != nullptr)
-                slices_[sm].pendingHooks.push_back(DeferredHook{
-                    kind, app, pageNumberAt(va, hs.topBits())});
-        }
-    } else {
-        if (pageTable.isCoalescedAt(va, kind)) {
-            l1_[sm].fillMid(kind - 1, app, pageNumberAt(va, hs.bits(kind)));
-            if (checker_ != nullptr)
-                slices_[sm].pendingHooks.push_back(DeferredHook{
-                    kind, app, pageNumberAt(va, hs.bits(kind))});
-        }
+    // A base entry needs a live mapping, a coalesced-level entry its
+    // live coalesced bit, and a CoLT entry -- its own fill, or the one a
+    // base fill brings along -- a still-contiguous group.
+    if (kind != kColtKind &&
+        (kind == 0 ? pageTable.isMapped(va)
+                   : pageTable.isCoalescedAt(va, kind))) {
+        const std::uint64_t vpn = pageNumberAt(va, hs.bits(kind));
+        l1_[sm].fill(kind, app, vpn);
+        if (checker_ != nullptr)
+            slices_[sm].pendingHooks.push_back(DeferredHook{kind, app, vpn});
+    }
+    if ((kind == kColtKind || (kind == 0 && config_.colt)) &&
+        pageTable.contiguousGroupBase(va, config_.l1.coltSpanPagesLog2) !=
+            kInvalidAddr) {
+        const std::uint64_t base_vpn = pageNumberAt(va, hs.bits(0));
+        l1_[sm].fillColt(app, base_vpn);
+        if (checker_ != nullptr)
+            slices_[sm].pendingHooks.push_back(DeferredHook{
+                kColtKind, app, base_vpn >> config_.l1.coltSpanPagesLog2});
     }
     if (tracer_ != nullptr && tracer_->on(kTraceVm)) {
         // Close the miss span on the SM's lane ring at the lane clock
@@ -562,51 +536,40 @@ TranslationService::shootdownColtRange(AppId app, Addr vaBase,
 }
 
 void
-TranslationService::shootdownLarge(AppId app, Addr vaLargeBase)
+TranslationService::shootdown(AppId app, Addr vaBase, unsigned level)
 {
     const PageSizeHierarchy &hs = config_.sizes;
-    const std::uint64_t vpn = pageNumberAt(vaLargeBase, hs.topBits());
+    const std::uint64_t vpn = pageNumberAt(vaBase, hs.bits(level));
     for (Tlb &tlb : l1_)
-        tlb.flushLarge(app, vpn);
-    l2_.flushLarge(app, vpn);
-    // A splinter also rewrites the region's L3 PTE, so any page-walk
-    // cache must drop the stale upper-level line (the TLB flush alone
-    // would let the next walk short-circuit through old PTE bytes).
-    if (walker_.hasPageWalkCache() && app < perApp_.size() &&
-        perApp_[app].table != nullptr) {
-        walker_.invalidatePwcForSplinter(*perApp_[app].table, vaLargeBase);
+        tlb.flush(level, app, vpn);
+    l2_.flush(level, app, vpn);
+    if (level == 0) {
+        // Intermediate-level entries whose run contains this page go
+        // too: a remap/unmap just broke the run's contiguity, and a
+        // cached run translation would keep serving the old frame. (The
+        // loop body is unreachable for the default two-size hierarchy.)
+        for (unsigned mid = 1; mid + 1 < hs.numLevels(); ++mid) {
+            const std::uint64_t mid_vpn = pageNumberAt(vaBase, hs.bits(mid));
+            for (Tlb &tlb : l1_)
+                tlb.flush(mid, app, mid_vpn);
+            l2_.flush(mid, app, mid_vpn);
+            if (checker_ != nullptr)
+                checker_->onTlbShootdown(app, mid_vpn, mid);
+        }
+    } else if (walker_.hasPageWalkCache() && app < perApp_.size() &&
+               perApp_[app].table != nullptr) {
+        // A splinter also rewrites the PTE holding the level's coalesced
+        // bit, so any page-walk cache must drop the stale upper-level
+        // line (the TLB flush alone would let the next walk
+        // short-circuit through old PTE bytes).
+        walker_.invalidatePwcForSplinter(*perApp_[app].table, vaBase, level);
     }
-    // The frame's contiguity metadata was rewritten wholesale: any CoLT
-    // group entry inside it goes too (coalesce and splinter both).
-    shootdownColtRange(app, vaLargeBase, hs.bytes(hs.topLevel()));
+    // A remapped base page breaks its covering CoLT group; a coalesce or
+    // splinter rewrites the contiguity metadata of every group inside
+    // the page.
+    shootdownColtRange(app, vaBase, hs.bytes(level));
     if (checker_ != nullptr)
-        checker_->onTlbShootdownLarge(app, vpn);
-}
-
-void
-TranslationService::shootdownBase(AppId app, Addr vaBase)
-{
-    const PageSizeHierarchy &hs = config_.sizes;
-    const std::uint64_t vpn = pageNumberAt(vaBase, hs.bits(0));
-    for (Tlb &tlb : l1_)
-        tlb.flushBase(app, vpn);
-    l2_.flushBase(app, vpn);
-    // Intermediate-level entries whose run contains this page go too:
-    // a remap/unmap just broke the run's contiguity, and a cached run
-    // translation would keep serving the old frame. (The loop body is
-    // unreachable for the default two-size hierarchy.)
-    for (unsigned level = 1; level + 1 < hs.numLevels(); ++level) {
-        const std::uint64_t mid_vpn = pageNumberAt(vaBase, hs.bits(level));
-        for (Tlb &tlb : l1_)
-            tlb.flushMid(level - 1, app, mid_vpn);
-        l2_.flushMid(level - 1, app, mid_vpn);
-        if (checker_ != nullptr)
-            checker_->onTlbShootdownLevel(app, mid_vpn, level);
-    }
-    // A remapped/unmapped base page breaks its covering CoLT group.
-    shootdownColtRange(app, vaBase, hs.bytes(0));
-    if (checker_ != nullptr)
-        checker_->onTlbShootdownBase(app, vpn);
+        checker_->onTlbShootdown(app, vpn, level);
 }
 
 void
@@ -640,15 +603,9 @@ TranslationService::serialize(ckpt::Archive &ar)
     // per restored entry. The checker re-derives each PA from the live
     // page tables (already restored), so the shadow matches exactly.
     const auto replay = [&](const Tlb &tlb) {
-        tlb.forEachBase([&](AppId app, std::uint64_t vpn) {
-            checker_->onTlbFillBase(app, vpn);
-        });
-        tlb.forEachLarge([&](AppId app, std::uint64_t vpn) {
-            checker_->onTlbFillLarge(app, vpn);
-        });
-        for (unsigned mid = 0; mid < tlb.numMidLevels(); ++mid) {
-            tlb.forEachMid(mid, [&](AppId app, std::uint64_t vpn) {
-                checker_->onTlbFillLevel(app, vpn, mid + 1);
+        for (unsigned level = 0; level < config_.sizes.numLevels(); ++level) {
+            tlb.forEach(level, [&](AppId app, std::uint64_t vpn) {
+                checker_->onTlbFill(app, vpn, level);
             });
         }
         tlb.forEachColtGroup([&](AppId app, std::uint64_t group_vpn) {
@@ -658,28 +615,6 @@ TranslationService::serialize(ckpt::Archive &ar)
     for (const Tlb &tlb : l1_)
         replay(tlb);
     replay(l2_);
-}
-
-void
-TranslationService::shootdownLevel(AppId app, Addr vaBase, unsigned level)
-{
-    const PageSizeHierarchy &hs = config_.sizes;
-    if (level == hs.topLevel()) {
-        shootdownLarge(app, vaBase);
-        return;
-    }
-    const std::uint64_t vpn = pageNumberAt(vaBase, hs.bits(level));
-    for (Tlb &tlb : l1_)
-        tlb.flushMid(level - 1, app, vpn);
-    l2_.flushMid(level - 1, app, vpn);
-    if (walker_.hasPageWalkCache() && app < perApp_.size() &&
-        perApp_[app].table != nullptr) {
-        walker_.invalidatePwcForSplinter(*perApp_[app].table, vaBase,
-                                         level);
-    }
-    shootdownColtRange(app, vaBase, hs.bytes(level));
-    if (checker_ != nullptr)
-        checker_->onTlbShootdownLevel(app, vpn, level);
 }
 
 }  // namespace mosaic

@@ -4,10 +4,13 @@
  * TLB, and the page-table walker, glued together with per-SM MSHRs.
  *
  * Lookup order per the paper (§4.3): probe large-page entries first, then
- * base-page entries; on an L1 miss the shared L2 TLB is probed after its
- * access latency (plus port contention); on an L2 miss the walker runs.
- * Fills from coalesced pages go only into large-page arrays so coalesced
- * translations never consume scarce base-page TLB entries.
+ * base-page entries -- for an N-level hierarchy, every size level from
+ * the top down to the base; on an L1 miss the shared L2 TLB is probed
+ * after its access latency (plus port contention); on an L2 miss the
+ * walker runs. A translation fills the arrays of its own size level, so
+ * coalesced translations never consume scarce base-page TLB entries.
+ * Fills, checker notifications and shootdowns all name their array by
+ * size level; the TLB maps it onto a storage slot (vm/tlb.h).
  */
 
 #ifndef MOSAIC_VM_TRANSLATION_H
@@ -159,23 +162,15 @@ class TranslationService
     void registerApp(AppId app, const PageTable &table);
 
     /**
-     * Shoots down the large-page entry for @p vaLargeBase in every TLB
-     * level (required when a coalesced page is splintered, §4.4).
-     * With CoLT enabled, also drops every coalesced group entry inside
-     * the region — its contiguity metadata was just rewritten.
+     * Shoots down the size-level @p level entry for @p vaBase in every
+     * TLB level: a base page on migration/unmap (0), a coalesced page
+     * on splinter (the top level, §4.4, or a Trident intermediate run).
+     * Level 0 also drops every intermediate-level entry whose run holds
+     * the page; a level >= 1 also drops the walker's cached PTE line
+     * holding its coalesced bit. With CoLT enabled, every coalesced
+     * group entry inside the page goes too.
      */
-    void shootdownLarge(AppId app, Addr vaLargeBase);
-
-    /** Shoots down one base-page entry everywhere (page migration);
-     *  with CoLT enabled also the group entry covering it. */
-    void shootdownBase(AppId app, Addr vaBase);
-
-    /**
-     * Shoots down the entry of intermediate size level @p level for
-     * @p vaBase everywhere (a Trident mid-level splinter). Top-level
-     * calls forward to shootdownLarge.
-     */
-    void shootdownLevel(AppId app, Addr vaBase, unsigned level);
+    void shootdown(AppId app, Addr vaBase, unsigned level);
 
     /** Per-SM L1 TLB (exposed for tests and reporting). */
     const Tlb &l1Tlb(SmId sm) const { return l1_[sm]; }
@@ -242,17 +237,15 @@ class TranslationService
         return perApp_[app];
     }
 
-    /** Fill kind routed between the hub and the SM lanes: 0 fills base
-     *  entries, a size level >= 1 fills that level's array (the top
-     *  level is the classic "large" fill), kColtKind fills a CoLT
-     *  group entry. */
+    /** Fill kind routed between the hub and the SM lanes: a size level
+     *  fills that level's array, kColtKind fills a CoLT group entry. */
     static constexpr std::uint8_t kColtKind = 0xFF;
 
     /** Checker notification recorded on an SM lane, replayed at the
      *  next epoch barrier (serial mode never records any). */
     struct DeferredHook
     {
-        std::uint8_t kind;  ///< 0 base, size level, or kColtKind
+        std::uint8_t kind;  ///< size level, or kColtKind
         AppId app;
         std::uint64_t vpn;
     };

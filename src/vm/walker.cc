@@ -174,13 +174,13 @@ PageTableWalker::finish(Walk *walk, bool faulted)
         result = walk->pageTable->translate(walk->va);
     if (!result.valid)
         ++stats_.faults;
-    else if (result.size == PageSize::Large)
+    else if (result.level != 0)
         ++stats_.largeResults;
     stats_.latency.record(events_.now() - walk->startedAt);
     if (walk->traceId != 0) {
         tracer_->asyncEnd(kTraceVm, TraceTrack::Vm, "walk", walk->traceId,
                           events_.now(), {"faulted", faulted ? 1u : 0u},
-                          {"large", result.size == PageSize::Large ? 1u : 0u});
+                          {"large", result.level != 0 ? 1u : 0u});
     }
 
     // Detach the continuation, then recycle the record before anything
@@ -207,8 +207,6 @@ PageTableWalker::invalidatePwcForSplinter(const PageTable &pageTable,
 {
     if (pwc_ == nullptr)
         return;
-    if (level == kTopLevel)
-        level = pageTable.sizes().topLevel();
     const auto path = pageTable.walkPath(vaBase);
     const Addr bit_pte = path[pageTable.coalesceBitDepth(level)];
     if (bit_pte != kInvalidAddr)

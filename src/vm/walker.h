@@ -6,9 +6,11 @@
  * walks; each walk performs one dependent memory access per page-table
  * level, served by the shared L2 cache / DRAM. On a coalesced region the
  * walk reads the L3 PTE (large bit set) plus the first L4 PTE, from which
- * it extracts the large-page frame number (paper §4.3, Fig. 7b). An
- * optional page-walk cache can short-circuit upper-level accesses; the
- * baseline disables it in favor of a larger shared L2 TLB.
+ * it extracts the large-page frame number (paper §4.3, Fig. 7b). The
+ * result's `level` names the size level the walk resolved to, which is
+ * the TLB array the translation service fills. An optional page-walk
+ * cache can short-circuit upper-level accesses; the baseline disables
+ * it in favor of a larger shared L2 TLB.
  *
  * Hot-path layout (DESIGN.md §11): walk state -- including the PTE path
  * and current depth -- lives in pooled Walk records, so every per-level
@@ -101,15 +103,14 @@ class PageTableWalker
 
     /**
      * Drops the cached PTE line holding the coalesced bit of size level
-     * @p level (the classic L3 entry for the default pair's 2MB level)
-     * covering @p vaBase: a splinter rewrites that PTE, and a hardware
-     * shootdown would invalidate the stale line. @p level kTopLevel
-     * (default) resolves to the table's top size level. No-op without a
-     * PWC. Timing-fidelity only: walk results always read the live table.
+     * @p level >= 1 (the classic L3 entry for the default pair's 2MB
+     * level) covering @p vaBase: a splinter rewrites that PTE, and a
+     * hardware shootdown would invalidate the stale line. No-op without
+     * a PWC. Timing-fidelity only: walk results always read the live
+     * table.
      */
-    static constexpr unsigned kTopLevel = ~0u;
     void invalidatePwcForSplinter(const PageTable &pageTable, Addr vaBase,
-                                  unsigned level = kTopLevel);
+                                  unsigned level);
 
     /** Number of walks currently executing. */
     unsigned activeWalks() const { return active_; }

@@ -59,17 +59,17 @@ TEST(CacTest, SplinterShootsDownLargeTlbEntry)
     // Warm the TLBs with the large-page translation.
     bool done = false;
     rig.xlate.translate(0, rig.pt, kVaA, [&](const Translation &t) {
-        EXPECT_EQ(t.size, PageSize::Large);
+        EXPECT_EQ(t.level, 1u);
         done = true;
     });
     rig.ev.runAll();
     ASSERT_TRUE(done);
-    ASSERT_EQ(rig.xlate.l2Tlb().largeOccupancy(), 1u);
+    ASSERT_EQ(rig.xlate.l2Tlb().occupancy(1), 1u);
 
     // Release 80%: splinter must flush the stale large entries.
     rig.mgr.releaseRegion(0, kVaA, (kLargePageSize * 4) / 5);
-    EXPECT_EQ(rig.xlate.l2Tlb().largeOccupancy(), 0u);
-    EXPECT_EQ(rig.xlate.l1Tlb(0).largeOccupancy(), 0u);
+    EXPECT_EQ(rig.xlate.l2Tlb().occupancy(1), 0u);
+    EXPECT_EQ(rig.xlate.l1Tlb(0).occupancy(1), 0u);
 }
 
 TEST(CacTest, CompactionMigratesSurvivorsAndFreesTheFrame)
@@ -91,7 +91,7 @@ TEST(CacTest, CompactionMigratesSurvivorsAndFreesTheFrame)
          va < kVaA + kLargePageSize; va += kBasePageSize) {
         const Translation t = rig.pt.translate(va);
         ASSERT_TRUE(t.valid && t.resident);
-        EXPECT_EQ(t.size, PageSize::Base);
+        EXPECT_EQ(t.level, 0u);
     }
 }
 

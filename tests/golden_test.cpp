@@ -193,6 +193,20 @@ TEST(GoldenTest, TridentColtMosaicSnapshotMatchesGolden)
 }
 
 /**
+ * Four-level golden: Mosaic on {4K,64K,512K,2M} with CoLT, the only
+ * pinned cell whose TLBs hold two intermediate-level arrays. It pins
+ * the second mid array's probes and its `vm.tlb.l2.mid2.*` counters,
+ * which no three-size cell registers.
+ */
+TEST(GoldenTest, FourLevelColtMosaicSnapshotMatchesGolden)
+{
+    checkGolden(pinnedConfig(SimConfig::mosaicDefault())
+                    .withSizeHierarchy(PageSizeHierarchy{12, 16, 19, 21},
+                                       /*colt=*/true),
+                "mosaic_4level_colt");
+}
+
+/**
  * Serial trace golden (DESIGN.md §9): the exported Chrome Trace JSON of
  * a pinned traced run under the classic serial engine, byte-for-byte.
  * This is the contract the per-lane sharded tracing work rides on: the

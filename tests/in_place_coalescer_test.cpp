@@ -109,13 +109,13 @@ TEST(InPlaceCoalescerTest, CoalescingNeedsNoTlbFlush)
     });
     ev.runAll();
     ASSERT_TRUE(before.valid);
-    ASSERT_EQ(xlate.l1Tlb(0).baseOccupancy(), 1u);
+    ASSERT_EQ(xlate.l1Tlb(0).occupancy(0), 1u);
 
     ASSERT_TRUE(rig.coalescer.tryCoalesce(frame));
 
     // The stale base entry still resolves to the same physical address;
     // no flush happened.
-    EXPECT_EQ(xlate.l1Tlb(0).baseOccupancy(), 1u);
+    EXPECT_EQ(xlate.l1Tlb(0).occupancy(0), 1u);
     Translation after;
     xlate.translate(0, rig.pt, kVa, [&](const Translation &t) {
         after = t;

@@ -162,12 +162,12 @@ TEST(InvariantCheckerTest, ReleaseShootsDownCachedTranslations)
     rig.populate(kVaA, 4 * kBasePageSize);
     rig.warmTlb(kVaA);
     const std::uint64_t vpn = basePageNumber(kVaA);
-    ASSERT_TRUE(rig.xlate.l2Tlb().containsBase(0, vpn));
+    ASSERT_TRUE(rig.xlate.l2Tlb().contains(0, 0, vpn));
 
     rig.mgr.releaseRegion(0, kVaA, 4 * kBasePageSize);
-    EXPECT_FALSE(rig.xlate.l2Tlb().containsBase(0, vpn));
+    EXPECT_FALSE(rig.xlate.l2Tlb().contains(0, 0, vpn));
     for (SmId sm = 0; sm < 2; ++sm)
-        EXPECT_FALSE(rig.xlate.l1Tlb(sm).containsBase(0, vpn));
+        EXPECT_FALSE(rig.xlate.l1Tlb(sm).contains(0, 0, vpn));
 
     // Re-reserve and re-back: with the fuzz schedules' interleaving the
     // VA lands on a different slot; no stale translation may survive.

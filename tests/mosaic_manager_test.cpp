@@ -75,7 +75,7 @@ TEST(MosaicManagerTest, ChunkPagesAreContiguousAndAligned)
             rig.ptA.translate(kVaA + i * kBasePageSize);
         ASSERT_TRUE(t.valid);
         EXPECT_EQ(t.physAddr, frame_base + i * kBasePageSize);
-        EXPECT_EQ(t.size, PageSize::Large);
+        EXPECT_EQ(t.level, 1u);
     }
 }
 
@@ -99,7 +99,7 @@ TEST(MosaicManagerTest, UnalignedTailUsesLoosePages)
     const Translation t =
         rig.ptA.translate(kVaA + kLargePageSize + 3 * kBasePageSize);
     ASSERT_TRUE(t.valid);
-    EXPECT_EQ(t.size, PageSize::Base);
+    EXPECT_EQ(t.level, 0u);
     rig.expectSoftGuarantee();
 }
 

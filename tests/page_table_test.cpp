@@ -29,7 +29,7 @@ TEST(PageTableTest, MapTranslateRoundTrip)
     ASSERT_TRUE(t.valid);
     EXPECT_TRUE(t.resident);
     EXPECT_EQ(t.physAddr, 0x9234u);
-    EXPECT_EQ(t.size, PageSize::Base);
+    EXPECT_EQ(t.level, 0u);
     EXPECT_EQ(rig.pt.mappedPages(), 1u);
 }
 
@@ -79,7 +79,7 @@ TEST(PageTableTest, CoalesceRequiresContiguity)
 
     const Translation t = rig.pt.translate(va + 0x3456);
     ASSERT_TRUE(t.valid);
-    EXPECT_EQ(t.size, PageSize::Large);
+    EXPECT_EQ(t.level, 1u);
     EXPECT_EQ(t.physAddr, pa + 0x3456);
 }
 
@@ -95,7 +95,7 @@ TEST(PageTableTest, SplinterRestoresBaseTranslations)
     EXPECT_FALSE(rig.pt.isCoalesced(va));
     const Translation t = rig.pt.translate(va + kBasePageSize);
     ASSERT_TRUE(t.valid);
-    EXPECT_EQ(t.size, PageSize::Base);
+    EXPECT_EQ(t.level, 0u);
     EXPECT_EQ(t.physAddr, pa + kBasePageSize);
 }
 

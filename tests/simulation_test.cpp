@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "runner/report.h"
 #include "runner/simulation.h"
 #include "workload/workload.h"
@@ -24,6 +26,32 @@ fast(SimConfig c)
 {
     c.gpu.sm.warpsPerSm = 8;
     return c.withIoCompression(16.0);
+}
+
+/**
+ * The alone-IPC memo is process-wide, so it must key by the whole
+ * simulated system: a substrate that differs only in DRAM row timings
+ * and L2 latency (knobs the alone run inherits) must not be served the
+ * normal substrate's denominators.
+ */
+TEST(SimulationTest, AloneIpcMemoSeparatesSubstrates)
+{
+    const Workload w = smallWorkload("HISTO", 2);
+    const SimConfig normal = fast(SimConfig::mosaicDefault());
+    SimConfig slow = normal;
+    slow.dram.rowHitCycles *= 4;
+    slow.dram.rowMissCycles *= 4;
+    slow.caches.l2LatencyCycles *= 4;
+
+    const std::vector<double> normal_alone = aloneIpcs(w, normal);
+    const std::vector<double> slow_alone = aloneIpcs(w, slow);
+    ASSERT_EQ(normal_alone.size(), 2u);
+    ASSERT_EQ(slow_alone.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_LT(slow_alone[i], normal_alone[i]) << "app " << i;
+    // A repeated substrate is still served from the memo, unchanged.
+    EXPECT_EQ(aloneIpcs(w, normal), normal_alone);
+    EXPECT_EQ(aloneIpcs(w, slow), slow_alone);
 }
 
 TEST(SimulationTest, PresetLabelsAndManagers)

@@ -107,10 +107,10 @@ TEST(TranslationTest, CoalescedPageFillsOnlyLargeArrays)
     rig.pt.coalesce(va);
 
     rig.timedTranslate(0, va);
-    EXPECT_EQ(rig.xlate.l1Tlb(0).largeOccupancy(), 1u);
-    EXPECT_EQ(rig.xlate.l1Tlb(0).baseOccupancy(), 0u);
-    EXPECT_EQ(rig.xlate.l2Tlb().largeOccupancy(), 1u);
-    EXPECT_EQ(rig.xlate.l2Tlb().baseOccupancy(), 0u);
+    EXPECT_EQ(rig.xlate.l1Tlb(0).occupancy(1), 1u);
+    EXPECT_EQ(rig.xlate.l1Tlb(0).occupancy(0), 0u);
+    EXPECT_EQ(rig.xlate.l2Tlb().occupancy(1), 1u);
+    EXPECT_EQ(rig.xlate.l2Tlb().occupancy(0), 0u);
 
     // Any page of the region now hits via the single large entry.
     Cycles lat = 0;
@@ -123,8 +123,8 @@ TEST(TranslationTest, UncoalescedPageFillsBaseArrays)
     XlateRig rig;
     rig.pt.mapBasePage(0x4000, 0x8000);
     rig.timedTranslate(0, 0x4000);
-    EXPECT_EQ(rig.xlate.l1Tlb(0).baseOccupancy(), 1u);
-    EXPECT_EQ(rig.xlate.l1Tlb(0).largeOccupancy(), 0u);
+    EXPECT_EQ(rig.xlate.l1Tlb(0).occupancy(0), 1u);
+    EXPECT_EQ(rig.xlate.l1Tlb(0).occupancy(1), 0u);
 }
 
 TEST(TranslationTest, ShootdownLargeRemovesFromAllLevels)
@@ -138,10 +138,10 @@ TEST(TranslationTest, ShootdownLargeRemovesFromAllLevels)
     rig.timedTranslate(0, va);
     rig.timedTranslate(1, va);
 
-    rig.xlate.shootdownLarge(0, va);
-    EXPECT_EQ(rig.xlate.l1Tlb(0).largeOccupancy(), 0u);
-    EXPECT_EQ(rig.xlate.l1Tlb(1).largeOccupancy(), 0u);
-    EXPECT_EQ(rig.xlate.l2Tlb().largeOccupancy(), 0u);
+    rig.xlate.shootdown(0, va, 1);
+    EXPECT_EQ(rig.xlate.l1Tlb(0).occupancy(1), 0u);
+    EXPECT_EQ(rig.xlate.l1Tlb(1).occupancy(1), 0u);
+    EXPECT_EQ(rig.xlate.l2Tlb().occupancy(1), 0u);
 }
 
 TEST(TranslationTest, ShootdownBaseRemovesEntry)
@@ -149,9 +149,9 @@ TEST(TranslationTest, ShootdownBaseRemovesEntry)
     XlateRig rig;
     rig.pt.mapBasePage(0x4000, 0x8000);
     rig.timedTranslate(0, 0x4000);
-    rig.xlate.shootdownBase(0, 0x4000);
-    EXPECT_EQ(rig.xlate.l1Tlb(0).baseOccupancy(), 0u);
-    EXPECT_EQ(rig.xlate.l2Tlb().baseOccupancy(), 0u);
+    rig.xlate.shootdown(0, 0x4000, 0);
+    EXPECT_EQ(rig.xlate.l1Tlb(0).occupancy(0), 0u);
+    EXPECT_EQ(rig.xlate.l2Tlb().occupancy(0), 0u);
 }
 
 TEST(TranslationTest, IdealTlbAlwaysSingleCycle)
@@ -213,6 +213,56 @@ TEST(TranslationTest, L1StatsTotalSumsAcrossSms)
     rig.timedTranslate(1, 0x4000);
     const Tlb::Stats total = rig.xlate.l1StatsTotal();
     EXPECT_GE(total.accesses(), 3u);
+}
+
+/**
+ * A TLB geometry its entry arrays cannot hold exactly is refused with a
+ * named diagnostic, instead of silently building fewer entries (100 at
+ * 16 ways used to build 96) or tripping the cache's geometry assert.
+ */
+TEST(TranslationDeathTest, TlbEntriesNotAMultipleOfWaysAreRejected)
+{
+    TranslationConfig cfg;
+    cfg.l2.baseEntries = 100;
+    cfg.l2.baseWays = 16;
+    EXPECT_EXIT({ XlateRig rig(cfg); }, ::testing::ExitedWithCode(1),
+                "config translation.l2.baseEntries: 100 is not a multiple "
+                "of translation.l2.baseWays \\(16\\)");
+}
+
+TEST(TranslationDeathTest, EveryConfiguredTlbArrayIsChecked)
+{
+    TranslationConfig zero_large;
+    zero_large.l1.largeEntries = 0;
+    EXPECT_EXIT({ XlateRig rig(zero_large); }, ::testing::ExitedWithCode(1),
+                "config translation.l1.largeEntries: 0");
+
+    TranslationConfig bad_mid;
+    bad_mid.sizes = PageSizeHierarchy::trident();
+    bad_mid.l1.midEntries = 24;
+    bad_mid.l1.midWays = 16;
+    EXPECT_EXIT({ XlateRig rig(bad_mid); }, ::testing::ExitedWithCode(1),
+                "config translation.l1.midEntries: 24 is not a multiple "
+                "of translation.l1.midWays");
+
+    TranslationConfig bad_colt;
+    bad_colt.colt = true;
+    bad_colt.l2.coltEntries = 0;
+    EXPECT_EXIT({ XlateRig rig(bad_colt); }, ::testing::ExitedWithCode(1),
+                "config translation.l2.coltEntries: 0");
+}
+
+TEST(TranslationTest, AbsentTlbArraysAreNotChecked)
+{
+    // The default pair has no mid array and CoLT is off, so their
+    // (unused) geometry knobs cannot refuse the config.
+    TranslationConfig cfg;
+    cfg.l1.midEntries = 0;
+    cfg.l2.coltEntries = 7;
+    cfg.l2.coltWays = 2;
+    XlateRig rig(cfg);
+    rig.pt.mapBasePage(0x4000, 0x8000);
+    EXPECT_TRUE(rig.timedTranslate(0, 0x4000).valid);
 }
 
 }  // namespace

@@ -96,7 +96,7 @@ TEST(WalkerTest, CoalescedRegionYieldsLargeTranslation)
     });
     rig.ev.runAll();
     ASSERT_TRUE(result.valid);
-    EXPECT_EQ(result.size, PageSize::Large);
+    EXPECT_EQ(result.level, 1u);
     EXPECT_EQ(walker.stats().largeResults, 1u);
 }
 
@@ -219,7 +219,7 @@ TEST(WalkerTest, CoalescedWalkReadsFourLevelsAndSharesUpperPwcLines)
     rig.ev.runAll();
     EXPECT_EQ(rig.dram.stats().reads, 4u);
     ASSERT_TRUE(first.valid);
-    EXPECT_EQ(first.size, PageSize::Large);
+    EXPECT_EQ(first.level, 1u);
 
     // Another page of the same region: upper levels (including the L3
     // large-bit PTE) hit the PWC, so only its own L4 PTE is read.
@@ -230,7 +230,7 @@ TEST(WalkerTest, CoalescedWalkReadsFourLevelsAndSharesUpperPwcLines)
     EXPECT_EQ(rig.dram.stats().reads, 5u);
     EXPECT_EQ(walker.stats().pwcHits, 3u);
     ASSERT_TRUE(second.valid);
-    EXPECT_EQ(second.size, PageSize::Large);
+    EXPECT_EQ(second.level, 1u);
     EXPECT_EQ(walker.stats().largeResults, 2u);
 }
 
@@ -253,7 +253,7 @@ TEST(WalkerTest, SplinterInvalidatesExactlyTheL3PwcLine)
     // A splinter rewrites the region's L3 PTE; the stale PWC line must
     // go, or the next walk would short-circuit through old PTE bytes.
     rig.pt.splinter(va);
-    walker.invalidatePwcForSplinter(rig.pt, va);
+    walker.invalidatePwcForSplinter(rig.pt, va, rig.pt.sizes().topLevel());
 
     Translation after;
     walker.requestWalk(rig.pt, va, [&](const Translation &t) { after = t; });
@@ -264,7 +264,7 @@ TEST(WalkerTest, SplinterInvalidatesExactlyTheL3PwcLine)
     EXPECT_EQ(walker.stats().pwcMisses, 4u);
     EXPECT_EQ(rig.dram.stats().reads, 6u);
     ASSERT_TRUE(after.valid);
-    EXPECT_EQ(after.size, PageSize::Base);
+    EXPECT_EQ(after.level, 0u);
 }
 
 TEST(WalkerTest, NoPwcByDefault)
@@ -317,7 +317,6 @@ TEST(WalkerTest, TridentMidCoalescedRunYieldsMidLevelTranslation)
     rig.ev.runAll();
     ASSERT_TRUE(result.valid);
     EXPECT_EQ(result.level, 1u);
-    EXPECT_EQ(result.size, PageSize::Large);
     // Coalescing changes what the bits mean, not how many accesses the
     // walk makes (same contract as the default pair's four reads).
     EXPECT_EQ(rig.dram.stats().reads, 5u);
@@ -341,7 +340,6 @@ TEST(WalkerTest, SingleLevelHierarchyWalksFourDepths)
     ASSERT_TRUE(result.valid);
     EXPECT_EQ(result.physAddr, 0x9000u);
     EXPECT_EQ(result.level, 0u);
-    EXPECT_EQ(result.size, PageSize::Base);
     EXPECT_EQ(rig.dram.stats().reads, 4u);
     EXPECT_EQ(walker.stats().largeResults, 0u);
 }
