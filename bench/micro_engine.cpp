@@ -1,22 +1,15 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the discrete-event engine's hot
- * path: events/sec through schedule+dispatch under small (in-SBO) and
- * large (heap-allocated) callback captures, the runUntil batch path,
- * and the reserve() capacity hint.
- *
- * To quantify the pop-path optimization (moving the callback out of
- * top() instead of copy-constructing it), LegacyEventQueue reproduces
- * the pre-optimization dispatch -- `Event ev = queue_.top()` -- so both
- * variants can be measured from one binary.
+ * path: events/sec through schedule+dispatch of 32-byte captures and of
+ * a self-rescheduling chain, the runUntil batch path, and the reserve()
+ * capacity hint.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <vector>
 
 #include "engine/event_queue.h"
 
@@ -25,77 +18,9 @@ namespace {
 using namespace mosaic;
 
 /**
- * The event engine as it was before the move-out-of-top optimization:
- * dispatch copy-constructs the full Event (std::function copy == heap
- * allocation for any capture beyond the small-buffer size) out of
- * top() before popping.
- */
-class LegacyEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    Cycles now() const { return now_; }
-    bool empty() const { return queue_.empty(); }
-
-    void
-    schedule(Cycles when, Callback fn)
-    {
-        queue_.push(Event{when, nextSeq_++, std::move(fn)});
-    }
-
-    void
-    scheduleAfter(Cycles delay, Callback fn)
-    {
-        schedule(now_ + delay, std::move(fn));
-    }
-
-    bool
-    runOne()
-    {
-        if (queue_.empty())
-            return false;
-        Event ev = queue_.top();  // the copy under test
-        queue_.pop();
-        now_ = ev.when;
-        ev.fn();
-        return true;
-    }
-
-    void
-    runAll()
-    {
-        while (runOne()) {
-        }
-    }
-
-  private:
-    struct Event
-    {
-        Cycles when;
-        std::uint64_t seq;
-        Callback fn;
-
-        bool
-        operator>(const Event &other) const
-        {
-            if (when != other.when)
-                return when > other.when;
-            return seq > other.seq;
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-    Cycles now_ = 0;
-    std::uint64_t nextSeq_ = 0;
-};
-
-/**
- * Capture payload big enough to defeat std::function's small-buffer
- * optimization (libstdc++: 16 bytes), forcing a heap allocation per
- * std::function copy -- the cost the move-pop eliminates. Simulator
- * callbacks routinely capture this much (component pointer + ids +
- * counters).
+ * A 32-byte capture, as simulator callbacks routinely carry (component
+ * pointer + ids + counters): inline in SimCallback's buffer, though
+ * beyond std::function's 16-byte one.
  */
 struct FatPayload
 {
@@ -124,15 +49,7 @@ drainFatEvents(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kEvents);
 }
 
-/** Pre-optimization dispatch: copy the event out of top(). */
-void
-BM_DispatchFatCopyPop(benchmark::State &state)
-{
-    drainFatEvents<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_DispatchFatCopyPop);
-
-/** Current dispatch: move the event out of top(). */
+/** Dispatch: move the callback out of its slab slot. */
 void
 BM_DispatchFatMovePop(benchmark::State &state)
 {
@@ -167,20 +84,13 @@ pingPongChain(benchmark::State &state)
 }
 
 void
-BM_ChainCopyPop(benchmark::State &state)
-{
-    pingPongChain<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_ChainCopyPop)->Arg(10000);
-
-void
 BM_ChainMovePop(benchmark::State &state)
 {
     pingPongChain<EventQueue>(state);
 }
 BENCHMARK(BM_ChainMovePop)->Arg(10000);
 
-/** runUntil batch dispatch (one top() inspection per pop). */
+/** runUntil batch dispatch (one nextEventAt() check per pop). */
 void
 BM_RunUntilBatch(benchmark::State &state)
 {

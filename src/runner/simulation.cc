@@ -354,6 +354,16 @@ runSimulation(const Workload &workload, const SimConfig &config)
                      "-cycle lookahead window (use >= " +
                      std::to_string(ShardedEngine::kWindowCycles) +
                      ", or engineShards = 0)");
+    // Frames come from below the page-table pool; a pool that leaves no
+    // whole large page would underflow the frame range or leave every
+    // far fault retrying until maxCycles.
+    if (config.pageTablePoolBytes > config.dram.capacityBytes ||
+        config.dram.capacityBytes - config.pageTablePoolBytes <
+            kLargePageSize)
+        MOSAIC_FATAL("config pageTablePoolBytes: " +
+                     std::to_string(config.pageTablePoolBytes) +
+                     " leaves no 2 MB frame in dram.capacityBytes (" +
+                     std::to_string(config.dram.capacityBytes) + ")");
 
     // Checkpoint restore (DESIGN.md §14): read and validate the image
     // up front -- before any component exists -- so a bad file fails
@@ -407,7 +417,7 @@ runSimulation(const Workload &workload, const SimConfig &config)
                                            : serial_events;
     // Capacity hint: roughly one in-flight event per warp plus headroom
     // for walks, DRAM transactions, and paging transfers. Avoids the
-    // heap's doubling reallocations during warm-up.
+    // callback slab's doubling reallocations during warm-up.
     events.reserve(static_cast<std::size_t>(config.gpu.numSms) *
                        config.gpu.sm.warpsPerSm * 2 +
                    1024);

@@ -186,5 +186,40 @@ TEST(SimulationTest, PageWalkCacheReducesWalkLatency)
     EXPECT_LT(r_pwc.avgWalkLatency, r_base.avgWalkLatency);
 }
 
+/**
+ * A page-table pool that leaves no 2 MB frame below it is refused up
+ * front, on 64 MB of DRAM. maxCycles bounds the run should the check
+ * ever stop firing.
+ */
+SimConfig
+poolProbe(std::uint64_t poolBytes)
+{
+    SimConfig c = SimConfig::mosaicDefault();
+    c.dram.capacityBytes = 64ull << 20;
+    c.pageTablePoolBytes = poolBytes;
+    c.maxCycles = 2'000'000;
+    return c;
+}
+
+TEST(SimulationDeathTest, PageTablePoolLargerThanDramIsRejected)
+{
+    // Without the check the frame range underflows.
+    const Workload w = scaledWorkload(heterogeneousWorkload(2, 42), 0.05);
+    EXPECT_EXIT(runSimulation(w, poolProbe(128ull << 20)),
+                ::testing::ExitedWithCode(1),
+                "config pageTablePoolBytes: 134217728 leaves no 2 MB frame "
+                "in dram.capacityBytes \\(67108864\\)");
+}
+
+TEST(SimulationDeathTest, PageTablePoolFillingDramIsRejected)
+{
+    // Without the check every far fault retries for want of a frame.
+    const Workload w = scaledWorkload(heterogeneousWorkload(2, 42), 0.05);
+    EXPECT_EXIT(runSimulation(w, poolProbe(64ull << 20)),
+                ::testing::ExitedWithCode(1),
+                "config pageTablePoolBytes: 67108864 leaves no 2 MB frame "
+                "in dram.capacityBytes \\(67108864\\)");
+}
+
 }  // namespace
 }  // namespace mosaic
