@@ -8,11 +8,36 @@
 
 namespace mosaic {
 
+namespace {
+
+/** Refuses a geometry whose address decode would divide by zero, or
+ *  whose scheduler could never dispatch. */
+void
+checkDramGeometry(const DramConfig &c)
+{
+    if (c.channels == 0)
+        MOSAIC_FATAL("config dram.channels: 0 (addresses need at least "
+                     "one channel)");
+    if (c.banksPerChannel == 0)
+        MOSAIC_FATAL("config dram.banksPerChannel: 0 (a channel needs at "
+                     "least one bank)");
+    if (c.rowBytes < kCacheLineSize)
+        MOSAIC_FATAL("config dram.rowBytes: " + std::to_string(c.rowBytes) +
+                     " is below the " + std::to_string(kCacheLineSize) +
+                     "-byte line");
+    if (c.schedulerWindow == 0)
+        MOSAIC_FATAL("config dram.schedulerWindow: 0 (FR-FCFS could never "
+                     "dispatch a request)");
+}
+
+}  // namespace
+
 DramModel::DramModel(EventQueue &events, const DramConfig &config,
                      StatsRegistry *metrics, Tracer *tracer)
     : events_(events), config_(config), tracer_(tracer),
       channels_(config.channels)
 {
+    checkDramGeometry(config_);
     for (auto &channel : channels_) {
         channel.banks.assign(config_.banksPerChannel, Bank{});
         channel.lane = &events_;
@@ -150,14 +175,17 @@ DramModel::channelOf(Addr addr) const
 }
 
 void
-DramModel::enqueue(unsigned channelIdx, unsigned bank, std::uint64_t row,
-                   Addr addr, bool isWrite, std::int32_t origin,
-                   SimCallback onDone)
+DramModel::enqueue(const Decoded &d, bool isWrite, std::int32_t origin,
+                   Cycles issued, SimCallback onDone)
 {
-    Channel &channel = channels_[channelIdx];
-    channel.queue.push_back(DramRequest{addr, isWrite, channel.lane->now(),
-                                        bank, row, origin,
-                                        std::move(onDone)});
+    Channel &channel = channels_[d.channel];
+    channel.bodies.push_back(
+        DramRequest{issued, d.row, d.bank, origin, false, std::move(onDone)});
+    // The window holds the oldest schedulerWindow queued requests, and a
+    // request waits beyond it only while it is full: with fewer queued
+    // requests than that, nobody waits and the new one joins.
+    if (channel.inFlight < config_.schedulerWindow)
+        enterWindow(channel);
     ++channel.inFlight;
     if (isWrite)
         ++channel.stats.writes;
@@ -166,14 +194,24 @@ DramModel::enqueue(unsigned channelIdx, unsigned bank, std::uint64_t row,
 }
 
 void
+DramModel::enterWindow(Channel &channel)
+{
+    const DramRequest &req =
+        channel.bodies[channel.windowEnd - channel.headRank];
+    channel.banks[req.bank].window.push_back(
+        WindowEntry{channel.windowEnd, req.row});
+    ++channel.windowEnd;
+}
+
+void
 DramModel::access(Addr addr, bool isWrite, SimCallback onDone)
 {
     const Decoded d = decode(addr);
+    // Under sub-lanes the request is stamped with the control cycle.
+    enqueue(d, isWrite, kOriginControl, events_.now(), std::move(onDone));
     if (subs_ == nullptr) {
         // Serial / hub-only engine: the legacy inline path, byte-identical
         // to the pre-sub-lane model.
-        enqueue(d.channel, d.bank, d.row, addr, isWrite, kOriginControl,
-                std::move(onDone));
         tryDispatch(d.channel);
         return;
     }
@@ -181,15 +219,6 @@ DramModel::access(Addr addr, bool isWrite, SimCallback onDone)
     // is safe, but dispatch decisions belong to the owning sub-lane's
     // clock — kick it at the current control cycle (the sub phase for
     // this window has not run yet, so the kick lands in-window).
-    Channel &channel = channels_[d.channel];
-    channel.queue.push_back(DramRequest{addr, isWrite, events_.now(), d.bank,
-                                        d.row, kOriginControl,
-                                        std::move(onDone)});
-    ++channel.inFlight;
-    if (isWrite)
-        ++channel.stats.writes;
-    else
-        ++channel.stats.reads;
     scheduleDispatch(d.channel, events_.now());
 }
 
@@ -199,9 +228,10 @@ DramModel::accessFromSub(unsigned srcSub, Addr addr, bool isWrite,
 {
     assert(subs_ != nullptr);
     const Decoded d = decode(addr);
+    const auto origin = static_cast<std::int32_t>(srcSub);
     if (d.channel == srcSub) {
-        enqueue(d.channel, d.bank, d.row, addr, isWrite,
-                static_cast<std::int32_t>(srcSub), std::move(onDone));
+        enqueue(d, isWrite, origin, channels_[d.channel].lane->now(),
+                std::move(onDone));
         tryDispatch(d.channel);
         return;
     }
@@ -211,9 +241,9 @@ DramModel::accessFromSub(unsigned srcSub, Addr addr, bool isWrite,
     // most one window — see hub_sublanes.h).
     subs_->subToSub(
         srcSub, d.channel, channels_[srcSub].lane->now(),
-        [this, d, addr, isWrite, srcSub, fn = std::move(onDone)]() mutable {
-            enqueue(d.channel, d.bank, d.row, addr, isWrite,
-                    static_cast<std::int32_t>(srcSub), std::move(fn));
+        [this, d, isWrite, origin, fn = std::move(onDone)]() mutable {
+            enqueue(d, isWrite, origin, channels_[d.channel].lane->now(),
+                    std::move(fn));
             tryDispatch(d.channel);
         });
 }
@@ -268,34 +298,43 @@ DramModel::tryDispatch(unsigned channelIdx)
     Channel &channel = channels_[channelIdx];
     const Cycles now = channel.lane->now();
 
-    while (!channel.queue.empty()) {
-        // FR-FCFS: among requests whose bank is ready, prefer the oldest
-        // row hit, then the oldest request overall. The queue preserves
-        // arrival order, so a linear scan finds both candidates.
-        std::size_t pick = channel.queue.size();
+    while (channel.inFlight > 0) {
+        // FR-FCFS over the window: among requests whose bank is ready,
+        // the oldest row hit, else the oldest request. A bank's list is
+        // arrival-ordered, so its first open-row entry is its oldest hit
+        // and its head its oldest request; ranks order them across banks.
+        Bank *pick_bank = nullptr;
+        std::size_t pick_pos = 0;
+        std::uint64_t pick_rank = std::numeric_limits<std::uint64_t>::max();
         bool pick_is_hit = false;
         Cycles earliest_ready = std::numeric_limits<Cycles>::max();
-        const std::size_t window =
-            std::min(channel.queue.size(), config_.schedulerWindow);
-        for (std::size_t i = 0; i < window; ++i) {
-            const DramRequest &cand = channel.queue[i];
-            const Bank &bank = channel.banks[cand.bank];
+        for (Bank &bank : channel.banks) {
+            if (bank.window.empty())
+                continue;
             if (bank.readyAt > now) {
                 earliest_ready = std::min(earliest_ready, bank.readyAt);
                 continue;
             }
-            const bool hit =
-                bank.openRow == static_cast<std::int64_t>(cand.row);
-            if (hit) {
-                pick = i;
-                pick_is_hit = true;
-                break;  // oldest ready row hit wins immediately
+            std::size_t hit = 0;
+            while (hit < bank.window.size() &&
+                   bank.openRow !=
+                       static_cast<std::int64_t>(bank.window[hit].row))
+                ++hit;
+            if (hit < bank.window.size()) {
+                if (!pick_is_hit || bank.window[hit].rank < pick_rank) {
+                    pick_bank = &bank;
+                    pick_pos = hit;
+                    pick_rank = bank.window[hit].rank;
+                    pick_is_hit = true;
+                }
+            } else if (!pick_is_hit && bank.window.front().rank < pick_rank) {
+                pick_bank = &bank;
+                pick_pos = 0;
+                pick_rank = bank.window.front().rank;
             }
-            if (pick == channel.queue.size())
-                pick = i;  // remember the oldest ready request
         }
 
-        if (pick == channel.queue.size()) {
+        if (pick_bank == nullptr) {
             // Every request in the window targets a busy bank; retry
             // when the first bank frees up.
             if (earliest_ready != std::numeric_limits<Cycles>::max())
@@ -303,11 +342,13 @@ DramModel::tryDispatch(unsigned channelIdx)
             return;
         }
 
-        DramRequest req = std::move(channel.queue[pick]);
-        channel.queue.erase(channel.queue.begin() +
-                            static_cast<std::ptrdiff_t>(pick));
+        Bank &bank = *pick_bank;
+        bank.window.erase(bank.window.begin() +
+                          static_cast<std::ptrdiff_t>(pick_pos));
+        if (channel.windowEnd != channel.headRank + channel.bodies.size())
+            enterWindow(channel);  // the oldest request beyond the window
+        DramRequest &req = channel.bodies[pick_rank - channel.headRank];
 
-        Bank &bank = channel.banks[req.bank];
         const Cycles access_latency =
             pick_is_hit ? config_.rowHitCycles : config_.rowMissCycles;
         if (pick_is_hit)
@@ -329,7 +370,12 @@ DramModel::tryDispatch(unsigned channelIdx)
 
         channel.stats.latency.record(done - req.issued);
         --channel.inFlight;
+        req.dispatched = true;
         completeAt(channelIdx, done, req.origin, std::move(req.onDone));
+        while (!channel.bodies.empty() && channel.bodies.front().dispatched) {
+            channel.bodies.pop_front();
+            ++channel.headRank;
+        }
     }
 }
 
@@ -386,7 +432,7 @@ void
 DramModel::serialize(ckpt::Archive &ar)
 {
     for (Channel &ch : channels_) {
-        MOSAIC_ASSERT(ar.loading() || (ch.queue.empty() && ch.inFlight == 0 &&
+        MOSAIC_ASSERT(ar.loading() || (ch.inFlight == 0 &&
                                        !ch.dispatchScheduled),
                       "checkpointing a DRAM channel with queued requests");
         for (Bank &bank : ch.banks) {

@@ -10,6 +10,12 @@
  * (64 bits at a time) and via in-DRAM mechanisms (RowClone/LISA) used by
  * Mosaic's CAC-BC compaction variant.
  *
+ * FR-FCFS never scans the queue. A channel keeps its queued requests in
+ * arrival order and the oldest schedulerWindow of them on one
+ * arrival-ordered list per bank; the rest join the window in arrival
+ * order as window requests leave. A dispatch reads each ready bank's
+ * list head and oldest open-row entry (DESIGN.md §11).
+ *
  * Under the sharded engine the channels are *independently runnable*:
  * attachSubLanes() points each channel at its hub sub-lane's event queue
  * (DESIGN.md §12), and all per-channel state — queue, banks, bus, stats
@@ -71,21 +77,20 @@ struct DramConfig
     std::size_t schedulerWindow = 48;
 };
 
-/** One outstanding line-granularity DRAM access. */
+/** One queued line access. */
 struct DramRequest
 {
-    Addr addr = 0;
-    bool isWrite = false;
     Cycles issued = 0;
-    /** Bank/row decoded once at enqueue: the FR-FCFS scan consults every
-     *  queued request each dispatch, and decode divides by runtime
-     *  config values, so re-deriving it there is the scheduler's single
-     *  largest cost. */
-    unsigned bank = 0;
+    /** Bank/row decoded once at enqueue (decode divides by runtime
+     *  config values); the row also rides on the bank's window list. */
     std::uint64_t row = 0;
+    unsigned bank = 0;
     /** Lane the completion callback must run on: kOriginControl for the
      *  control/serial lane, else the issuing sub-lane's index. */
     std::int32_t origin = -1;
+    /** Dispatched: the body only waits for every older request to
+     *  leave before it is popped. */
+    bool dispatched = false;
     SimCallback onDone;
 };
 
@@ -189,10 +194,20 @@ class DramModel
     void serialize(ckpt::Archive &ar);
 
   private:
+    /** A window request on its bank's list: its arrival rank within
+     *  the channel (FR-FCFS age, and where its body sits) and row. */
+    struct WindowEntry
+    {
+        std::uint64_t rank;
+        std::uint64_t row;
+    };
+
     struct Bank
     {
         std::int64_t openRow = -1;
         Cycles readyAt = 0;
+        /** This bank's window requests, oldest first. */
+        std::vector<WindowEntry> window;
     };
 
     /** Counters written only by the channel's owning lane. */
@@ -209,7 +224,15 @@ class DramModel
     struct alignas(64) Channel
     {
         std::vector<Bank> banks;
-        std::deque<DramRequest> queue;
+        /** Request bodies in arrival order: rank r sits at r - headRank.
+         *  A dispatch marks its body and moves nothing; dispatched
+         *  bodies are popped once every older request has left, so the
+         *  deque spans the queued requests and frees chunks as it goes. */
+        std::deque<DramRequest> bodies;
+        std::uint64_t headRank = 0;
+        /** Ranks below windowEnd have joined the window; the rest wait
+         *  beyond it. */
+        std::uint64_t windowEnd = 0;
         Cycles busFreeAt = 0;
         /** Retry bookkeeping: a dispatch event is pending at dispatchAt.
          *  Tracking the time (not just a flag) lets an *earlier* retry
@@ -220,6 +243,7 @@ class DramModel
          *  sub-lane channelIdx's queue once attachSubLanes() ran. */
         EventQueue *lane = nullptr;
         ChannelStats stats;
+        /** Queued requests: window plus overflow. */
         std::size_t inFlight = 0;
     };
 
@@ -231,9 +255,9 @@ class DramModel
     };
 
     Decoded decode(Addr addr) const;
-    void enqueue(unsigned channelIdx, unsigned bank, std::uint64_t row,
-                 Addr addr, bool isWrite, std::int32_t origin,
-                 SimCallback onDone);
+    void enqueue(const Decoded &d, bool isWrite, std::int32_t origin,
+                 Cycles issued, SimCallback onDone);
+    static void enterWindow(Channel &channel);
     void tryDispatch(unsigned channelIdx);
     void scheduleDispatch(unsigned channelIdx, Cycles when);
     void completeAt(unsigned channelIdx, Cycles done, std::int32_t origin,
