@@ -23,7 +23,20 @@ Sm::addWarp(std::unique_ptr<WarpStream> stream)
     ctx.stream = std::move(stream);
     warps_.push_back(std::move(ctx));
     pendingParts_.push_back(0);
+    if (warps_.size() > eligible_.size() * 64)
+        eligible_.push_back(0);
+    setEligible(static_cast<unsigned>(warps_.size() - 1), true);
     ++liveWarps_;
+}
+
+void
+Sm::setEligible(unsigned warpIdx, bool on)
+{
+    const std::uint64_t bit = std::uint64_t{1} << (warpIdx % 64);
+    if (on)
+        eligible_[warpIdx / 64] |= bit;
+    else
+        eligible_[warpIdx / 64] &= ~bit;
 }
 
 void
@@ -63,33 +76,35 @@ int
 Sm::pickWarp() const
 {
     const Cycles now = events_.now();
-    auto ready = [&](const WarpCtx &w) {
-        return !w.done && !w.blocked && w.readyAt <= now;
+    auto ready = [&](unsigned warpIdx) {
+        return eligible(warpIdx) && warps_[warpIdx].readyAt <= now;
     };
 
     if (config_.scheduler == WarpSchedPolicy::Gto && lastWarp_ >= 0 &&
-        ready(warps_[static_cast<unsigned>(lastWarp_)])) {
+        ready(static_cast<unsigned>(lastWarp_))) {
         return lastWarp_;  // greedy: stick with the current warp
     }
 
     if (config_.scheduler == WarpSchedPolicy::RoundRobin) {
         for (std::size_t i = 0; i < warps_.size(); ++i) {
             const unsigned idx = (rrCursor_ + i) % warps_.size();
-            if (ready(warps_[idx]))
+            if (ready(idx))
                 return static_cast<int>(idx);
         }
         return -1;
     }
 
-    // Oldest: the ready warp that issued least recently.
+    // Oldest: the ready warp that issued least recently; ties go to the
+    // lowest index.
     int best = -1;
     std::uint64_t best_age = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t i = 0; i < warps_.size(); ++i) {
-        if (ready(warps_[i]) && warps_[i].age < best_age) {
+    forEachEligible([&](unsigned i) {
+        const WarpCtx &w = warps_[i];
+        if (w.readyAt <= now && w.age < best_age) {
             best = static_cast<int>(i);
-            best_age = warps_[i].age;
+            best_age = w.age;
         }
-    }
+    });
     return best;
 }
 
@@ -115,10 +130,10 @@ Sm::issueTick()
         // Nobody is ready. Wake at the earliest compute completion;
         // memory completions re-arm the issue event themselves.
         Cycles earliest = std::numeric_limits<Cycles>::max();
-        for (const WarpCtx &w : warps_) {
-            if (!w.done && !w.blocked && w.readyAt > now)
-                earliest = std::min(earliest, w.readyAt);
-        }
+        forEachEligible([&](unsigned i) {
+            if (warps_[i].readyAt > now)
+                earliest = std::min(earliest, warps_[i].readyAt);
+        });
         if (earliest != std::numeric_limits<Cycles>::max())
             scheduleIssue(earliest);
         return;
@@ -145,7 +160,7 @@ Sm::issueTick()
         warp.readyAt = now + std::max<Cycles>(1, instr.computeLatency);
     } else {
         ++stats_.memInstructions;
-        warp.blocked = true;
+        setEligible(idx, false);  // blocked on memory
         executeMemory(idx, instr);
     }
     scheduleIssue(now + 1);
@@ -231,9 +246,8 @@ Sm::warpMemPartDone(unsigned warpIdx)
 {
     MOSAIC_ASSERT(pendingParts_[warpIdx] > 0, "spurious completion");
     if (--pendingParts_[warpIdx] == 0) {
-        WarpCtx &warp = warps_[warpIdx];
-        warp.blocked = false;
-        warp.readyAt = events_.now();
+        setEligible(warpIdx, true);
+        warps_[warpIdx].readyAt = events_.now();
         scheduleIssue(events_.now());
     }
 }
@@ -249,15 +263,15 @@ Sm::serialize(ckpt::Archive &ar)
     ar.expect(warps_.size(), "SM warp count");
     for (std::size_t i = 0; i < warps_.size(); ++i) {
         WarpCtx &warp = warps_[i];
-        MOSAIC_ASSERT(ar.loading() || (!warp.blocked && pendingParts_[i] == 0),
+        MOSAIC_ASSERT(ar.loading() || pendingParts_[i] == 0,
                       "checkpointing an SM with in-flight memory ops");
         ar.io(warp.readyAt);
         ar.io(warp.done);
         ar.io(warp.age);
         ar.io(*warp.stream);
         if (ar.loading()) {
-            warp.blocked = false;
             pendingParts_[i] = 0;
+            setEligible(static_cast<unsigned>(i), !warp.done);
         }
     }
     ar.io(liveWarps_);
@@ -279,6 +293,7 @@ Sm::retireWarp(unsigned warpIdx)
     WarpCtx &warp = warps_[warpIdx];
     MOSAIC_ASSERT(!warp.done, "double retire");
     warp.done = true;
+    setEligible(warpIdx, false);
     --liveWarps_;
     if (liveWarps_ == 0) {
         stats_.finishedAt = events_.now();

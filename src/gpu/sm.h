@@ -5,7 +5,9 @@
  * Each SM issues at most one warp instruction per cycle. The warp
  * scheduler is greedy-then-oldest (GTO [96], the paper's configuration):
  * it keeps issuing from the last warp until that warp stalls, then picks
- * the oldest ready warp. A memory instruction translates each distinct
+ * the oldest ready warp. A bitset of eligible warps (neither retired nor
+ * waiting on memory) bounds both that pick and the wake-up search to the
+ * warps that could issue. A memory instruction translates each distinct
  * page it touches through the TranslationService (far-faulting through
  * the DemandPager when a page is not resident) and then accesses the
  * data cache hierarchy for every coalesced line; the warp is eligible
@@ -15,6 +17,7 @@
 #ifndef MOSAIC_GPU_SM_H
 #define MOSAIC_GPU_SM_H
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -113,7 +116,6 @@ class Sm
     {
         std::unique_ptr<WarpStream> stream;
         Cycles readyAt = 0;
-        bool blocked = false;  ///< waiting on memory
         bool done = false;
         std::uint64_t age = 0; ///< issue-order tiebreak for GTO
     };
@@ -121,6 +123,25 @@ class Sm
     void scheduleIssue(Cycles when);
     void issueTick();
     int pickWarp() const;
+    void setEligible(unsigned warpIdx, bool on);
+
+    bool
+    eligible(unsigned warpIdx) const
+    {
+        return (eligible_[warpIdx / 64] >> (warpIdx % 64)) & 1;
+    }
+
+    /** Calls @p f(warpIdx) for every eligible warp, in ascending index. */
+    template <typename F>
+    void
+    forEachEligible(F &&f) const
+    {
+        for (std::size_t w = 0; w < eligible_.size(); ++w) {
+            for (std::uint64_t bits = eligible_[w]; bits != 0;
+                 bits &= bits - 1)
+                f(static_cast<unsigned>(w * 64 + std::countr_zero(bits)));
+        }
+    }
     void executeMemory(unsigned warpIdx, const WarpInstr &instr);
     void translatePage(unsigned warpIdx, Addr pageVa, unsigned retries,
                        std::function<void(const Translation &)> onDone);
@@ -137,6 +158,8 @@ class Sm
     std::function<void()> onAllWarpsDone_;
 
     std::vector<WarpCtx> warps_;
+    /** Bit i set: warp i is neither done nor waiting on memory. */
+    std::vector<std::uint64_t> eligible_;
     std::vector<unsigned> pendingParts_;  ///< outstanding mem ops per warp
     unsigned liveWarps_ = 0;
     int lastWarp_ = -1;
