@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <limits>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "dram/dram.h"
 #include "engine/event_queue.h"
 
@@ -238,6 +244,343 @@ TEST(DramTest, LatencyHistogramTracksAllRequests)
     ev.runAll();
     EXPECT_EQ(dram.stats().latency.samples(), 20u);
     EXPECT_GE(dram.stats().latency.mean(), 10.0);
+}
+
+TEST(DramDeathTest, RefusesZeroChannels)
+{
+    DramConfig cfg = testConfig();
+    cfg.channels = 0;
+    EventQueue ev;
+    EXPECT_DEATH(DramModel(ev, cfg), "config dram.channels: 0");
+}
+
+TEST(DramDeathTest, RefusesZeroBanks)
+{
+    DramConfig cfg = testConfig();
+    cfg.banksPerChannel = 0;
+    EventQueue ev;
+    EXPECT_DEATH(DramModel(ev, cfg), "config dram.banksPerChannel: 0");
+}
+
+TEST(DramDeathTest, RefusesRowBelowLine)
+{
+    DramConfig cfg = testConfig();
+    cfg.rowBytes = 32;
+    EventQueue ev;
+    EXPECT_DEATH(DramModel(ev, cfg),
+                 "config dram.rowBytes: 32 is below the 128-byte line");
+}
+
+TEST(DramDeathTest, RefusesZeroSchedulerWindow)
+{
+    DramConfig cfg = testConfig();
+    cfg.schedulerWindow = 0;
+    EventQueue ev;
+    EXPECT_DEATH(DramModel(ev, cfg), "config dram.schedulerWindow: 0");
+}
+
+/**
+ * Reference FR-FCFS: DramModel's serial path as it was before the
+ * per-bank window lists. Each channel queues whole requests in one
+ * arrival-ordered deque, every dispatch scans its oldest
+ * schedulerWindow entries and erases the pick from the middle. Line
+ * interleave only; timing, retries and bulk copies as in the model.
+ */
+class ScanDram
+{
+  public:
+    ScanDram(EventQueue &events, const DramConfig &config)
+        : events_(events), config_(config), channels_(config.channels)
+    {
+        for (Channel &ch : channels_)
+            ch.banks.assign(config_.banksPerChannel, Bank{});
+    }
+
+    void
+    access(Addr addr, bool /*isWrite*/, SimCallback onDone)
+    {
+        const std::uint64_t line = addr / kCacheLineSize;
+        const auto channel = static_cast<unsigned>(line % config_.channels);
+        const std::uint64_t row_seq = line / config_.channels /
+                                      (config_.rowBytes / kCacheLineSize);
+        channels_[channel].queue.push_back(
+            Request{events_.now(),
+                    static_cast<unsigned>(row_seq % config_.banksPerChannel),
+                    row_seq / config_.banksPerChannel, std::move(onDone)});
+        tryDispatch(channel);
+    }
+
+    void
+    bulkCopyPage(Addr src, Addr dst, bool inDramCopy, SimCallback onDone)
+    {
+        const unsigned src_channel = channelOf(src);
+        const unsigned dst_channel = channelOf(dst);
+        const bool same_channel = src_channel == dst_channel;
+        const Cycles duration =
+            inDramCopy && same_channel
+                ? config_.bulkCopyInDramCycles
+                : (kBasePageSize / kCacheLineSize) *
+                      config_.bulkCopyViaBusCyclesPerLine;
+        Channel &dst_ch = channels_[dst_channel];
+        Cycles start = std::max(events_.now(), dst_ch.busFreeAt);
+        if (!same_channel)
+            start = std::max(start, channels_[src_channel].busFreeAt);
+        const Cycles done = start + duration;
+        dst_ch.busFreeAt = done;
+        if (!same_channel) {
+            Channel &src_ch = channels_[src_channel];
+            src_ch.busFreeAt = std::max(src_ch.busFreeAt, done);
+        }
+        events_.schedule(done, std::move(onDone));
+    }
+
+    DramModel::Stats
+    stats() const
+    {
+        DramModel::Stats s;
+        s.rowHits = rowHits_;
+        s.rowMisses = rowMisses_;
+        return s;
+    }
+
+  private:
+    struct Request
+    {
+        Cycles issued;
+        unsigned bank;
+        std::uint64_t row;
+        SimCallback onDone;
+    };
+
+    struct Bank
+    {
+        std::int64_t openRow = -1;
+        Cycles readyAt = 0;
+    };
+
+    struct Channel
+    {
+        std::vector<Bank> banks;
+        std::deque<Request> queue;
+        Cycles busFreeAt = 0;
+        bool dispatchScheduled = false;
+        Cycles dispatchAt = 0;
+    };
+
+    unsigned
+    channelOf(Addr addr) const
+    {
+        return static_cast<unsigned>(addr / kCacheLineSize %
+                                     config_.channels);
+    }
+
+    void
+    scheduleDispatch(unsigned channelIdx, Cycles when)
+    {
+        Channel &channel = channels_[channelIdx];
+        when = std::max(when, events_.now());
+        if (channel.dispatchScheduled && channel.dispatchAt <= when)
+            return;
+        channel.dispatchScheduled = true;
+        channel.dispatchAt = when;
+        events_.schedule(when, [this, channelIdx, when] {
+            Channel &channel = channels_[channelIdx];
+            if (!channel.dispatchScheduled || channel.dispatchAt != when)
+                return;
+            channel.dispatchScheduled = false;
+            tryDispatch(channelIdx);
+        });
+    }
+
+    void
+    tryDispatch(unsigned channelIdx)
+    {
+        Channel &channel = channels_[channelIdx];
+        const Cycles now = events_.now();
+        while (!channel.queue.empty()) {
+            std::size_t pick = channel.queue.size();
+            bool pick_is_hit = false;
+            Cycles earliest_ready = std::numeric_limits<Cycles>::max();
+            const std::size_t window =
+                std::min(channel.queue.size(), config_.schedulerWindow);
+            for (std::size_t i = 0; i < window; ++i) {
+                const Request &cand = channel.queue[i];
+                const Bank &bank = channel.banks[cand.bank];
+                if (bank.readyAt > now) {
+                    earliest_ready = std::min(earliest_ready, bank.readyAt);
+                    continue;
+                }
+                if (bank.openRow == static_cast<std::int64_t>(cand.row)) {
+                    pick = i;
+                    pick_is_hit = true;
+                    break;
+                }
+                if (pick == channel.queue.size())
+                    pick = i;
+            }
+            if (pick == channel.queue.size()) {
+                if (earliest_ready != std::numeric_limits<Cycles>::max())
+                    scheduleDispatch(channelIdx, earliest_ready);
+                return;
+            }
+            Request req = std::move(channel.queue[pick]);
+            channel.queue.erase(channel.queue.begin() +
+                                static_cast<std::ptrdiff_t>(pick));
+            Bank &bank = channel.banks[req.bank];
+            pick_is_hit ? ++rowHits_ : ++rowMisses_;
+            const Cycles data_ready =
+                now + (pick_is_hit ? config_.rowHitCycles
+                                   : config_.rowMissCycles);
+            const Cycles done =
+                std::max(data_ready, channel.busFreeAt) + config_.burstCycles;
+            channel.busFreeAt = done;
+            bank.openRow = static_cast<std::int64_t>(req.row);
+            bank.readyAt = now + (pick_is_hit ? config_.bankBusyHitCycles
+                                              : config_.bankBusyMissCycles);
+            events_.schedule(done, std::move(req.onDone));
+        }
+    }
+
+    EventQueue &events_;
+    DramConfig config_;
+    std::vector<Channel> channels_;
+    std::uint64_t rowHits_ = 0;
+    std::uint64_t rowMisses_ = 0;
+};
+
+/** One scheduled operation of a differential run. */
+struct DramOp
+{
+    Cycles at;
+    bool bulk;
+    Addr addr;  ///< access address, or bulk-copy source
+    Addr dst;
+    bool inDram;
+};
+
+/**
+ * A seeded schedule over a few rows of every bank: short bursts and
+ * idle gaps, bursts deeper than the window whose tail re-hits the
+ * first request's row (row hits just beyond the window), and page
+ * copies that push a channel's busFreeAt.
+ */
+std::vector<DramOp>
+randomSchedule(const DramConfig &cfg, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const std::uint64_t lines_per_row = cfg.rowBytes / kCacheLineSize;
+    auto addr_of = [&](std::uint64_t channel, std::uint64_t bank,
+                       std::uint64_t row, std::uint64_t col) {
+        const std::uint64_t row_seq = row * cfg.banksPerChannel + bank;
+        const std::uint64_t line =
+            (row_seq * lines_per_row + col) * cfg.channels + channel;
+        return static_cast<Addr>(line * kCacheLineSize);
+    };
+    const std::size_t deep = std::min<std::size_t>(cfg.schedulerWindow, 64);
+    std::vector<DramOp> ops;
+    Cycles at = 0;
+    while (ops.size() < 600) {
+        at += rng.chance(0.3) ? rng.below(200) : rng.below(3);
+        if (rng.chance(0.05)) {
+            const Addr src = rng.below(8) * kBasePageSize;
+            const Addr dst = rng.below(8) * kBasePageSize;
+            ops.push_back(DramOp{at, true, src, dst, rng.chance(0.5)});
+            continue;
+        }
+        const std::size_t burst =
+            rng.chance(0.15) ? deep + rng.between(1, 8) : rng.between(1, 4);
+        const std::uint64_t channel = rng.below(cfg.channels);
+        std::uint64_t first_bank = 0, first_row = 0;
+        for (std::size_t i = 0; i < burst; ++i) {
+            std::uint64_t bank = rng.below(cfg.banksPerChannel);
+            std::uint64_t row = rng.below(4);
+            if (i == 0) {
+                first_bank = bank;
+                first_row = row;
+            } else if (burst > deep && i + 2 >= burst) {
+                bank = first_bank;
+                row = first_row;
+            }
+            ops.push_back(DramOp{at, false,
+                                 addr_of(channel, bank, row,
+                                         rng.below(lines_per_row)),
+                                 0, false});
+        }
+    }
+    return ops;
+}
+
+/** What a differential run observes: completions as (op index,
+ *  cycle) in completion order, and the row hit and miss counters. */
+struct DramRun
+{
+    std::vector<std::pair<std::size_t, Cycles>> completions;
+    std::uint64_t rowHits = 0;
+    std::uint64_t rowMisses = 0;
+};
+
+template <typename Model>
+DramRun
+runSchedule(const DramConfig &cfg, const std::vector<DramOp> &ops)
+{
+    EventQueue ev;
+    Model model(ev, cfg);
+    DramRun run;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        ev.schedule(ops[i].at, [&, i] {
+            SimCallback done = [&, i] {
+                run.completions.emplace_back(i, ev.now());
+            };
+            if (ops[i].bulk)
+                model.bulkCopyPage(ops[i].addr, ops[i].dst, ops[i].inDram,
+                                   std::move(done));
+            else
+                model.access(ops[i].addr, false, std::move(done));
+        });
+    }
+    ev.runAll();
+    run.rowHits = model.stats().rowHits;
+    run.rowMisses = model.stats().rowMisses;
+    return run;
+}
+
+TEST(DramFrFcfsDifferentialTest, MatchesDequeScanOnRandomSchedules)
+{
+    const std::size_t windows[] = {1, 2, 7, 48, 1u << 20};
+    const unsigned banks[] = {1, 2, 8};
+    for (const std::size_t window : windows) {
+        for (const unsigned bank_count : banks) {
+            for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                DramConfig cfg = testConfig();
+                cfg.channels = 3;  // pages map to every channel
+                cfg.banksPerChannel = bank_count;
+                cfg.schedulerWindow = window;
+                // Seeds 3 and 4: equal hit/miss occupancy makes banks
+                // free on the same cycle; seed 4 frees a hit's bank at
+                // once, so one bank can dispatch twice in a cycle.
+                if (seed >= 3) {
+                    cfg.bankBusyHitCycles = seed == 4 ? 0 : 8;
+                    cfg.bankBusyMissCycles = seed == 4 ? 0 : 8;
+                }
+                const std::vector<DramOp> ops = randomSchedule(
+                    cfg, seed * 1000 + window * 10 + bank_count);
+                const DramRun ref = runSchedule<ScanDram>(cfg, ops);
+                const DramRun got = runSchedule<DramModel>(cfg, ops);
+                SCOPED_TRACE("window " + std::to_string(window) + ", " +
+                             std::to_string(bank_count) + " banks, seed " +
+                             std::to_string(seed));
+                ASSERT_EQ(ref.completions.size(), ops.size());
+                ASSERT_EQ(got.completions.size(), ops.size());
+                for (std::size_t i = 0; i < ops.size(); ++i) {
+                    ASSERT_EQ(got.completions[i], ref.completions[i])
+                        << "completion #" << i << " (op, cycle)";
+                }
+                EXPECT_EQ(got.rowHits, ref.rowHits);
+                EXPECT_EQ(got.rowMisses, ref.rowMisses);
+                EXPECT_GT(ref.rowHits, 0u);
+            }
+        }
+    }
 }
 
 }  // namespace

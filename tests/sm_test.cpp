@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <limits>
 
+#include "common/rng.h"
 #include "engine/event_queue.h"
 #include "gpu/gpu.h"
 #include "gpu/sm.h"
@@ -202,6 +205,145 @@ TEST(SmTest, StallUntilDelaysIssue)
     sm.start(0);
     rig.ev.runAll();
     EXPECT_GE(sm.stats().finishedAt, 500u);
+}
+
+/** One next() call on a warp's stream: the SM picked @c warp at
+ *  @c cycle; @c retired when its stream was exhausted. */
+struct IssueRecord
+{
+    unsigned warp;
+    Cycles cycle;
+    Cycles latency;
+    bool retired;
+};
+
+/** Compute-only stream that logs every pick into a shared log. */
+class RecordingStream : public WarpStream
+{
+  public:
+    RecordingStream(unsigned warp, std::vector<Cycles> latencies,
+                    const EventQueue &events, std::vector<IssueRecord> &log)
+        : warp_(warp), latencies_(std::move(latencies)), events_(events),
+          log_(log)
+    {
+    }
+
+    bool
+    next(WarpInstr &out) override
+    {
+        if (pos_ == latencies_.size()) {
+            log_.push_back(IssueRecord{warp_, events_.now(), 0, true});
+            return false;
+        }
+        out = computeInstr(latencies_[pos_]);
+        log_.push_back(
+            IssueRecord{warp_, events_.now(), latencies_[pos_], false});
+        ++pos_;
+        return true;
+    }
+
+    void serialize(ckpt::Archive &) override {}
+
+  private:
+    unsigned warp_;
+    std::vector<Cycles> latencies_;
+    std::size_t pos_ = 0;
+    const EventQueue &events_;
+    std::vector<IssueRecord> &log_;
+};
+
+/**
+ * Replays an SM's pick log against a reference GTO. Every pick must be
+ * the greedy warp if it is ready, else the ready warp that issued
+ * least recently (never-issued warps are age 0; ties go to the lowest
+ * index), and it must come at the first cycle some warp is ready and
+ * the one-per-cycle issue port is free: no cycle sits idle.
+ */
+void
+expectGtoReplay(const std::vector<IssueRecord> &log, unsigned warps,
+                Cycles start)
+{
+    std::vector<Cycles> ready_at(warps, start);
+    std::vector<std::uint64_t> age(warps, 0);
+    std::vector<bool> done(warps, false);
+    std::uint64_t age_counter = 0;
+    int last = -1;
+    Cycles port_free = start;
+    for (std::size_t n = 0; n < log.size(); ++n) {
+        const IssueRecord &rec = log[n];
+        Cycles first_ready = std::numeric_limits<Cycles>::max();
+        for (unsigned w = 0; w < warps; ++w) {
+            if (!done[w])
+                first_ready = std::min(first_ready, ready_at[w]);
+        }
+        ASSERT_NE(first_ready, std::numeric_limits<Cycles>::max())
+            << "pick #" << n << " with every warp retired";
+        const Cycles now = std::max(port_free, first_ready);
+        ASSERT_EQ(rec.cycle, now)
+            << "pick #" << n << ": issue port idle or early";
+        auto ready = [&](unsigned w) {
+            return !done[w] && ready_at[w] <= now;
+        };
+        int expected = -1;
+        if (last >= 0 && ready(static_cast<unsigned>(last))) {
+            expected = last;
+        } else {
+            for (unsigned w = 0; w < warps; ++w) {
+                if (ready(w) &&
+                    (expected < 0 ||
+                     age[w] < age[static_cast<unsigned>(expected)]))
+                    expected = static_cast<int>(w);
+            }
+        }
+        ASSERT_EQ(static_cast<int>(rec.warp), expected)
+            << "pick #" << n << " at cycle " << now;
+        if (rec.retired) {
+            done[rec.warp] = true;
+            continue;
+        }
+        age[rec.warp] = ++age_counter;
+        last = static_cast<int>(rec.warp);
+        port_free = now + 1;
+        ready_at[rec.warp] = now + std::max<Cycles>(1, rec.latency);
+    }
+    for (unsigned w = 0; w < warps; ++w)
+        EXPECT_TRUE(done[w]) << "warp " << w << " never retired";
+}
+
+TEST(SmTest, GtoPicksMatchReferenceAcrossMaskWords)
+{
+    for (const unsigned warps : {1u, 63u, 64u, 65u, 130u}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(std::to_string(warps) + " warps, seed " +
+                         std::to_string(seed));
+            SmRig rig;
+            SmConfig cfg;
+            cfg.warpsPerSm = warps;
+            Sm sm = rig.makeSm(cfg);
+            std::vector<IssueRecord> log;
+            Rng rng(seed * 1000 + warps);
+            std::uint64_t instructions = 0;
+            for (unsigned w = 0; w < warps; ++w) {
+                // Mostly short latencies, so warps contend for the port;
+                // some long ones, so at times nobody is ready and the
+                // SM must wake at the earliest readyAt.
+                std::vector<Cycles> latencies(rng.between(0, 12));
+                for (Cycles &lat : latencies)
+                    lat = rng.chance(0.2) ? rng.between(20, 400)
+                                          : rng.below(6);
+                instructions += latencies.size();
+                sm.addWarp(std::make_unique<RecordingStream>(
+                    w, std::move(latencies), rig.ev, log));
+            }
+            const Cycles start = 7;
+            sm.start(start);
+            rig.ev.runAll();
+            ASSERT_TRUE(sm.done());
+            EXPECT_EQ(sm.stats().instructions, instructions);
+            EXPECT_EQ(log.size(), instructions + warps);
+            expectGtoReplay(log, warps, start);
+        }
+    }
 }
 
 TEST(GpuTest, PartitionSmsEvenlyWithRemainder)
