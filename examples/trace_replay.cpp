@@ -1,10 +1,11 @@
 /**
  * @file
- * Trace replay: drives the simulator's lowest-level API directly. A
+ * Trace replay: drives the simulated machine below runSimulation(). A
  * small per-warp memory trace (inline here; TraceFile::load reads the
- * same format from disk) runs on a hand-assembled system -- SMs,
- * translation service, caches, DRAM, demand pager, and the Mosaic
- * memory manager -- and the example prints what the memory system did.
+ * same format from disk) runs on one SM of a Machine -- the hardware
+ * runSimulation() builds: translation service, caches, DRAM, demand
+ * pager, and the Mosaic memory manager -- and the example prints what
+ * the memory system did.
  *
  * Usage: trace_replay [trace-file]
  */
@@ -12,14 +13,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "cache/hierarchy.h"
-#include "dram/dram.h"
-#include "engine/event_queue.h"
-#include "gpu/gpu.h"
-#include "iobus/demand_paging.h"
-#include "mm/mosaic_manager.h"
-#include "vm/translation.h"
-#include "vm/walker.h"
+#include "runner/system.h"
 #include "workload/trace_stream.h"
 
 int
@@ -53,45 +47,27 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     trace->totalInstructions()));
 
-    // Assemble the system by hand (what runSimulation() does for you).
-    EventQueue events;
-    DramModel dram(events, DramConfig{});
-    CacheHierarchyConfig cache_cfg;
-    cache_cfg.numSms = 1;
-    CacheHierarchy caches(events, dram, cache_cfg);
-    PageTableWalker walker(events, caches, WalkerConfig{});
-    TranslationService translation(events, walker, 1,
-                                   TranslationConfig{});
-    PcieConfig pcie_cfg;  // compress I/O time 16x (see DESIGN.md)
-    pcie_cfg.bytesPerCycle *= 16.0;
-    pcie_cfg.fixedOverheadCycles /= 16;
-    PcieBus pcie(events, pcie_cfg);
-
-    MosaicManager manager(0, 1ull << 30);
-    RegionPtNodeAllocator pt_alloc(1ull << 30, 64ull << 20);
-    PageTable page_table(0, pt_alloc);
-    manager.registerApp(0, page_table);
-    ManagerEnv env;
-    env.events = &events;
-    env.dram = &dram;
-    env.translation = &translation;
-    manager.setEnv(env);
-    DemandPager pager(events, pcie, manager);
+    // One SM running Mosaic over 1 GB of frames, with the 64 MB
+    // page-table pool above them and I/O time compressed 16x (see
+    // DESIGN.md, "Substitutions").
+    SimConfig config = SimConfig::mosaicDefault().withIoCompression(16);
+    config.gpu.numSms = 1;
+    config.dram.capacityBytes = (1ull << 30) + config.pageTablePoolBytes;
+    Machine machine(config, 1, 0);
 
     // The trace's en masse allocation: both chunks in one region.
-    manager.reserveRegion(0, 0x10000000000ull, 2 * kLargePageSize);
+    machine.manager->reserveRegion(0, 0x10000000000ull, 2 * kLargePageSize);
 
-    GpuConfig gpu_cfg;
-    gpu_cfg.numSms = 1;
-    Gpu gpu(events, gpu_cfg);
+    Gpu &gpu = machine.gpu;
     bool done = false;
-    const SmId sm = gpu.createSm(page_table, translation, caches, &pager,
-                                 [&] { done = true; });
+    const SmId sm =
+        gpu.createSm(*machine.pageTables[0], machine.translation,
+                     machine.caches, &machine.pager, [&] { done = true; });
     for (std::size_t w = 0; w < trace->numWarps(); ++w)
         gpu.sm(sm).addWarp(std::make_unique<TraceWarpStream>(trace, w));
 
     gpu.startAll(0);
-    while (!done && events.runOne()) {
+    while (!done && machine.events().runOne()) {
     }
 
     const auto &stats = gpu.sm(sm).stats();
@@ -104,15 +80,15 @@ main(int argc, char **argv)
                     double(std::max<Cycles>(1, stats.finishedAt)));
     std::printf("translation: %llu walks, L1 TLB hit %.1f%%, coalesced "
                 "%llu frames\n",
-                static_cast<unsigned long long>(walker.stats().walks),
-                100.0 * double(translation.stats().l1Hits) /
-                    double(translation.stats().requests),
+                static_cast<unsigned long long>(machine.walker.stats().walks),
+                100.0 * double(machine.translation.stats().l1Hits) /
+                    double(machine.translation.stats().requests),
                 static_cast<unsigned long long>(
-                    manager.stats().coalesceOps));
+                    machine.manager->stats().coalesceOps));
     std::printf("paging: %llu far-faults (%llu KB over PCIe)\n",
                 static_cast<unsigned long long>(
-                    pager.stats().farFaults),
+                    machine.pager.stats().farFaults),
                 static_cast<unsigned long long>(
-                    pager.stats().bytesTransferred >> 10));
+                    machine.pager.stats().bytesTransferred >> 10));
     return 0;
 }

@@ -294,12 +294,15 @@ TEST(JsonReportTest, RegistrySnapshotMatchesLegacyScalars)
     ASSERT_GT(l1_requests, 0u);
     EXPECT_DOUBLE_EQ(r.l1TlbHitRate, double(l1_hits) / double(l1_requests));
 
-    const std::uint64_t l2_acc = m.u64("vm.tlb.l2.base.accesses") +
-                                 m.u64("vm.tlb.l2.large.accesses");
-    const std::uint64_t l2_hits = m.u64("vm.tlb.l2.base.hits") +
-                                  m.u64("vm.tlb.l2.large.hits");
-    if (l2_acc > 0)
-        EXPECT_DOUBLE_EQ(r.l2TlbHitRate, double(l2_hits) / double(l2_acc));
+    // Every request that reaches the L2 TLB probes its large array
+    // first, then either hits (at some level) or issues a walk; so the
+    // rate is the hits over the large-array probes.
+    const std::uint64_t l2_requests = m.u64("vm.tlb.l2.large.accesses");
+    const std::uint64_t l2_hits = m.u64("vm.translation.l2Hits");
+    ASSERT_GT(l2_requests, 0u);
+    EXPECT_EQ(l2_hits + m.u64("vm.translation.walksIssued"), l2_requests);
+    EXPECT_DOUBLE_EQ(r.l2TlbHitRate,
+                     double(l2_hits) / double(l2_requests));
 
     // Per-app labeled families cover every app in the workload.
     for (std::size_t i = 0; i < r.apps.size(); ++i) {

@@ -3,8 +3,9 @@
  * Deterministic randomized stress fuzzer for the memory managers.
  *
  * Drives randomized alloc/free/touch/oversubscribe/multi-app schedules
- * against any of the three memory managers with the shadow-model
- * invariant checker (src/check/) verifying after every operation. The
+ * against any of the three memory managers, on the simulator's own
+ * Machine (runner/system.h), with the shadow-model invariant checker
+ * (src/check/) verifying after every operation. The
  * harness is deterministic from its seed: the whole schedule is
  * generated up front from a seeded Rng, so any failure reproduces with
  * `mosaic_fuzz --seed N` and the failing schedule can be written out,
@@ -28,19 +29,10 @@
 #include <string>
 #include <vector>
 
-#include "cache/hierarchy.h"
-#include "check/invariant_checker.h"
 #include "ckpt/serde.h"
 #include "common/parse_num.h"
 #include "common/rng.h"
-#include "dram/dram.h"
-#include "engine/event_queue.h"
-#include "engine/sharded_engine.h"
-#include "mm/gpu_mmu_manager.h"
-#include "mm/large_only_manager.h"
-#include "mm/mosaic_manager.h"
-#include "vm/translation.h"
-#include "vm/walker.h"
+#include "runner/system.h"
 
 using namespace mosaic;
 
@@ -90,18 +82,6 @@ slotVa(unsigned app, unsigned slot)
     return ((static_cast<Addr>(app) + 1) << 32) + slot * kSlotSpacing;
 }
 
-std::unique_ptr<MemoryManager>
-makeManager(const FuzzConfig &cfg, Addr poolBase, std::uint64_t poolBytes,
-            MosaicConfig &mosaicCfg)
-{
-    if (cfg.manager == "mosaic")
-        return std::make_unique<MosaicManager>(poolBase, poolBytes,
-                                               mosaicCfg);
-    if (cfg.manager == "largeonly")
-        return std::make_unique<LargeOnlyManager>(poolBase, poolBytes);
-    return std::make_unique<GpuMmuManager>(poolBase, poolBytes);
-}
-
 /** Result of executing one schedule. */
 struct RunResult
 {
@@ -111,157 +91,43 @@ struct RunResult
     std::vector<std::string> reports;
 };
 
-/** Checker config shared by every fuzz system (verify every mutation). */
-InvariantChecker::Config
-fuzzCheckerConfig()
+/**
+ * The fuzzed machine: 2 SMs and a frame pool of 8 MB (oversubscribed)
+ * or 64 MB with the 16 MB page-table pool directly above it, checked
+ * by a full invariant sweep after every manager mutation.
+ */
+SimConfig
+machineConfig(const FuzzConfig &cfg)
 {
-    InvariantChecker::Config c;
-    c.fullSweepEvery = 1;
-    c.abortOnViolation = false;
+    SimConfig c;
+    c.manager = cfg.manager == "mosaic"      ? ManagerKind::Mosaic
+                : cfg.manager == "largeonly" ? ManagerKind::LargeOnly
+                                             : ManagerKind::GpuMmu;
+    c.gpu.numSms = 2;
+    // Oversubscription: the pool holds far fewer frames than the
+    // schedule's demand, so OOM, reclaim, compaction, and the
+    // emergency failsafe all get exercised.
+    c.pageTablePoolBytes = 16ull << 20;
+    c.dram.capacityBytes =
+        (cfg.oversubscribe ? (8ull << 20) : (64ull << 20)) +
+        c.pageTablePoolBytes;
+    c.dram.channelInterleave = static_cast<ChannelInterleave>(cfg.interleave);
+    c.translation.sizes = cfg.sizes;
+    c.translation.colt = cfg.colt;
+    c.mosaic.sizes = cfg.sizes;
+    c.mosaic.cac.useBulkCopy = cfg.useBulkCopy;
+    c.mosaic.coalesceResidentThreshold = cfg.coalesceThreshold;
+    c.invariantChecks = {true, 1, false};
     return c;
 }
 
 /**
- * One complete fuzzable system: engine, DRAM, caches, walker,
- * translation, manager, page tables, and a shadow checker, built the
- * same way for a fresh run and for a checkpoint-restore twin. Members
- * are heap-held (or the struct itself is) so the cross-references the
- * components take at construction stay valid for the system's life.
- */
-struct FuzzSystem
-{
-    CacheHierarchyConfig cacheCfg;
-    std::unique_ptr<ShardedEngine> engine;
-    EventQueue serialEvents;
-    DramConfig dramCfg;
-    std::unique_ptr<DramModel> dram;
-    std::unique_ptr<CacheHierarchy> caches;
-    std::unique_ptr<PageTableWalker> walker;
-    TranslationConfig trCfg;
-    std::unique_ptr<TranslationService> translation;
-    MosaicConfig mosaicCfg;
-    std::unique_ptr<MemoryManager> manager;
-    InvariantChecker checker;
-    std::unique_ptr<RegionPtNodeAllocator> ptAlloc;
-    std::vector<std::unique_ptr<PageTable>> tables;
-
-    FuzzSystem(const FuzzConfig &cfg, unsigned shards)
-        : checker(fuzzCheckerConfig())
-    {
-        cacheCfg.numSms = 2;
-        if (shards > 0)
-            engine = std::make_unique<ShardedEngine>(cacheCfg.numSms, shards);
-        LaneRouter *const router = engine.get();
-
-        dramCfg.channelInterleave =
-            static_cast<ChannelInterleave>(cfg.interleave);
-        dramCfg.capacityBytes = 256ull << 20;
-        dram = std::make_unique<DramModel>(events(), dramCfg);
-
-        caches = std::make_unique<CacheHierarchy>(events(), *dram, cacheCfg,
-                                                  nullptr, router);
-        WalkerConfig walker_cfg;
-        walker = std::make_unique<PageTableWalker>(events(), *caches,
-                                                   walker_cfg);
-        trCfg.sizes = cfg.sizes;
-        trCfg.colt = cfg.colt;
-        translation = std::make_unique<TranslationService>(
-            events(), *walker, cacheCfg.numSms, trCfg, nullptr, nullptr,
-            router);
-        if (engine != nullptr) {
-            engine->addBarrierHook([t = translation.get()] {
-                t->flushDeferredCheckHooks();
-            });
-        }
-
-        // Oversubscription: the pool holds far fewer frames than the
-        // schedule's demand, so OOM, reclaim, compaction, and the
-        // emergency failsafe all get exercised.
-        const std::uint64_t pool_bytes =
-            cfg.oversubscribe ? (8ull << 20) : (64ull << 20);
-        mosaicCfg.cac.useBulkCopy = cfg.useBulkCopy;
-        mosaicCfg.coalesceResidentThreshold = cfg.coalesceThreshold;
-        mosaicCfg.sizes = cfg.sizes;
-        manager = makeManager(cfg, 0, pool_bytes, mosaicCfg);
-
-        checker.attachManager(manager.get());
-        checker.attachTranslation(translation.get());
-        checker.attachDram(dram.get());
-        if (cfg.manager == "mosaic") {
-            auto *mm = static_cast<MosaicManager *>(manager.get());
-            checker.attachMosaicState(&mm->state());
-            checker.attachCacConfig(&mosaicCfg.cac);
-        }
-        translation->setChecker(&checker);
-
-        ptAlloc = std::make_unique<RegionPtNodeAllocator>(
-            dramCfg.capacityBytes - (16ull << 20), 16ull << 20);
-        for (unsigned a = 0; a < cfg.apps; ++a) {
-            tables.push_back(std::make_unique<PageTable>(
-                static_cast<AppId>(a), *ptAlloc, cfg.sizes));
-            checker.observePageTable(*tables.back());
-            manager->registerApp(static_cast<AppId>(a), *tables.back());
-            translation->registerApp(static_cast<AppId>(a), *tables.back());
-        }
-        ManagerEnv env;
-        env.events = &events();
-        env.dram = dram.get();
-        env.translation = translation.get();
-        env.checker = &checker;
-        manager->setEnv(env);
-    }
-
-    EventQueue &
-    events()
-    {
-        return engine ? engine->hubQueue() : serialEvents;
-    }
-
-    void
-    drain()
-    {
-        if (engine != nullptr) {
-            engine->drain();
-            return;
-        }
-        while (serialEvents.runOne()) {
-        }
-    }
-
-    /** Serializes the quiesced system (canonical component order);
-     *  loading expects a freshly constructed system. */
-    void
-    serialize(ckpt::Archive &ar)
-    {
-        ar.expect(engine != nullptr, "engine mode");
-        if (engine != nullptr)
-            ar.io(*engine);
-        else
-            ar.io(serialEvents);
-        ar.io(*ptAlloc);
-        ar.expect(tables.size(), "page-table count");
-        for (const auto &t : tables) {
-            ar.io(*t);
-            if (!ar.ok())
-                return;
-        }
-        ar.io(*manager);
-        ar.io(*translation);
-        ar.io(*walker);
-        ar.io(*caches);
-        ar.io(*dram);
-        if (ar.loading() && ar.ok())
-            checker.seedAuditedViolations(
-                manager->stats().softGuaranteeViolations);
-    }
-};
-
-/**
  * Executes @p cfg's schedule from scratch and verifies every invariant
  * after every operation. Deterministic: same config, same outcome.
- * @p shards > 0 builds the services over a ShardedEngine (DESIGN.md
- * §12) so the fuzzer exercises the routed translation/cache paths; the
- * invariant verdicts are unchanged because every op fully drains.
+ * @p shards > 0 builds the machine over the sharded engine with its
+ * hub sub-lanes (DESIGN.md §12), so the fuzzer exercises the routed
+ * translation, cache and DRAM paths; the invariant verdicts are
+ * unchanged because every op fully drains.
  * @p checkpointEvery > 0 additionally round-trips the whole system
  * through the checkpoint serializer every N ops: serialize, restore
  * into a freshly built twin, verify the twin's reseeded shadow checker,
@@ -272,7 +138,8 @@ RunResult
 runSchedule(const FuzzConfig &cfg, unsigned shards = 0,
             std::size_t checkpointEvery = 0)
 {
-    auto sys = std::make_unique<FuzzSystem>(cfg, shards);
+    const SimConfig machine = machineConfig(cfg);
+    auto sys = std::make_unique<Machine>(machine, cfg.apps, shards);
 
     // Reserved pages per (app, slot); 0 = slot free. Ops that do not
     // apply to the current state are skipped (keeps minimized schedules
@@ -311,15 +178,15 @@ runSchedule(const FuzzConfig &cfg, unsigned shards = 0,
             const Addr va = base + (op.page % pages) * kBasePageSize;
             const SmId sm = static_cast<SmId>(op.page % 2);
             Translation out;
-            sys->translation->translate(
-                sm, *sys->tables[app], va,
+            sys->translation.translate(
+                sm, *sys->pageTables[app], va,
                 [&out](const Translation &t) { out = t; });
             sys->drain();
             if (!out.valid) {
                 // Far-fault: commit physical memory, then refill.
                 if (sys->manager->backPage(id, va)) {
-                    sys->translation->translate(sm, *sys->tables[app], va,
-                                                [](const Translation &) {});
+                    sys->translation.translate(sm, *sys->pageTables[app],
+                                               va, [](const Translation &) {});
                     sys->drain();
                 }
             }
@@ -347,12 +214,12 @@ runSchedule(const FuzzConfig &cfg, unsigned shards = 0,
         }
         }
         sys->drain();
-        sys->checker.verifyAll();
-        if (sys->checker.violationCount() > result.violations) {
+        sys->checker->verifyAll();
+        if (sys->checker->violationCount() > result.violations) {
             result.failed = true;
             result.failOp = i;
-            result.violations = sys->checker.violationCount();
-            result.reports = sys->checker.reports();
+            result.violations = sys->checker->violationCount();
+            result.reports = sys->checker->reports();
             return result;  // stop at the first failing op
         }
 
@@ -364,7 +231,7 @@ runSchedule(const FuzzConfig &cfg, unsigned shards = 0,
             ckpt::Writer w;
             ckpt::Archive save(w);
             sys->serialize(save);
-            auto fresh = std::make_unique<FuzzSystem>(cfg, shards);
+            auto fresh = std::make_unique<Machine>(machine, cfg.apps, shards);
             ckpt::Reader r(w.buffer());
             ckpt::Archive load(r);
             fresh->serialize(load);
@@ -388,12 +255,12 @@ runSchedule(const FuzzConfig &cfg, unsigned shards = 0,
                 result.reports = {err};
                 return result;
             }
-            fresh->checker.verifyAll();
-            if (fresh->checker.violationCount() > 0) {
+            fresh->checker->verifyAll();
+            if (fresh->checker->violationCount() > 0) {
                 result.failed = true;
                 result.failOp = i;
-                result.violations = fresh->checker.violationCount();
-                result.reports = fresh->checker.reports();
+                result.violations = fresh->checker->violationCount();
+                result.reports = fresh->checker->reports();
                 return result;
             }
             sys = std::move(fresh);
@@ -412,12 +279,12 @@ runSchedule(const FuzzConfig &cfg, unsigned shards = 0,
         }
     }
     sys->drain();
-    sys->checker.verifyAll();
-    if (sys->checker.violationCount() > 0) {
+    sys->checker->verifyAll();
+    if (sys->checker->violationCount() > 0) {
         result.failed = true;
         result.failOp = cfg.ops.size();
-        result.violations = sys->checker.violationCount();
-        result.reports = sys->checker.reports();
+        result.violations = sys->checker->violationCount();
+        result.reports = sys->checker->reports();
     }
     return result;
 }
@@ -657,8 +524,9 @@ usage()
         "       mosaic_fuzz --smoke [--seed N] [--ops N] [--shards N]\n"
         "       mosaic_fuzz --replay FILE [--shards N]\n"
         "\n"
-        "--shards N runs the services over the sharded engine with N\n"
-        "worker threads (0 = serial); invariant verdicts are identical.\n"
+        "--shards N runs the machine over the sharded engine and its\n"
+        "hub sub-lanes with N worker threads (0 = serial); invariant\n"
+        "verdicts are identical.\n"
         "--sizes LIST fuzzes a custom page-size hierarchy (smallest\n"
         "first, e.g. 4K,64K,2M); tiering knobs then derive from a\n"
         "separate hash of the seed, so default-pair schedules are\n"
